@@ -94,10 +94,12 @@ serve-smoke:
 
 # Batch-sweep proof (DESIGN.md §16): a three-regime portfolio submitted as
 # one POST /v1/sweeps against a live server — ranked results, per-cell
-# cost breakdowns, individually cache-hittable cells — plus a gpp-sweep
-# CLI liveness run through the in-process facade. Race detector on.
+# cost breakdowns, individually cache-hittable cells — plus gpp-sweep's
+# local and -addr modes returning the same cells for one spec, and a CLI
+# liveness run through the in-process facade. Race detector on.
 sweep-smoke:
 	$(GO) test -race -count=1 -run 'TestSweepThreeRegimes$$' -v ./internal/serve
+	$(GO) test -race -count=1 -run 'TestSweepLocalMatchesDaemon$$' -v ./cmd/gpp-sweep
 	$(GO) run ./cmd/gpp-sweep -circuit KSA4 -ks 3,4 > /dev/null
 
 # Three-node cluster proof (DESIGN.md §14): real gpp-serve subprocesses

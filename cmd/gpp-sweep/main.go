@@ -144,7 +144,9 @@ func runLocal(circuit, defPath string, k int, spec sweep.Spec, seed int64, worke
 	if k > 0 && len(spec.Ks) == 0 && spec.KRange == nil {
 		spec.Ks = []int{k}
 	}
-	res, err := gpp.Sweep(c, spec, gpp.Options{Seed: seed, Workers: workers})
+	// MomentumAuto is what a daemon cell runs when the request names no
+	// momentum, so local and -addr runs of one spec return the same cells.
+	res, err := gpp.Sweep(c, spec, gpp.Options{Seed: seed, Workers: workers, Momentum: gpp.MomentumAuto})
 	if err != nil {
 		return nil, err
 	}

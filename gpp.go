@@ -64,6 +64,12 @@ type (
 	Edge = netlist.Edge
 )
 
+// MomentumAuto is the Options.Momentum value that lets each solve pick its
+// update rule: heavy-ball momentum 0.9 unless the compiled problem has
+// plane terms (current_limit), which keep the paper's plain steps. It is
+// the serve daemon's default; the zero Options stay literal Algorithm 1.
+const MomentumAuto = partition.MomentumAuto
+
 // Result bundles a partition with its quality metrics.
 type Result struct {
 	// K is the plane count.

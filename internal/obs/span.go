@@ -128,6 +128,20 @@ func (s *Span) AttrInt(key string, v int64) {
 	s.mu.Unlock()
 }
 
+// AttrFloat appends a float attribute in the shortest form that round-trips
+// ('g' format), so equal values encode to equal bytes.
+func (s *Span) AttrFloat(key string, v float64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if !s.ended {
+		s.attrs = appendAttrKey(s.attrs, key)
+		s.attrs = strconv.AppendFloat(s.attrs, v, 'g', -1, 64)
+	}
+	s.mu.Unlock()
+}
+
 func appendAttrKey(b []byte, key string) []byte {
 	if len(b) > 0 {
 		b = append(b, ' ')

@@ -165,7 +165,11 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 }
 
 func TestResumeBitwiseIdenticalMomentum(t *testing.T) {
-	checkpointAndResume(t, Options{Seed: 9, MaxIters: 150, Margin: 1e-9, Momentum: 0.8, TraceCost: true}, 40)
+	for _, m := range []float64{0.8, MomentumAuto} {
+		t.Run(fmt.Sprintf("momentum=%g", m), func(t *testing.T) {
+			checkpointAndResume(t, Options{Seed: 9, MaxIters: 150, Margin: 1e-9, Momentum: m, TraceCost: true}, 40)
+		})
+	}
 }
 
 func TestResumeBitwiseIdenticalReduceDims(t *testing.T) {

@@ -61,6 +61,7 @@ type scratch struct {
 	bk, ak   []float64 // K per-plane sums
 	bf, af   []float64 // K per-plane gradient factors (F2/F3)
 	f1k      []float64 // K precomputed scale1·(k+1) F1 row factors
+	zeroK    []float64 // K zeros: the F1 factors of a row whose neighbor sum is 0
 	gRow     []float64 // gateShards×K per-shard gradient row staging
 	clamp    []int     // gate-shard clamp counts (update step)
 
@@ -219,7 +220,7 @@ func (p *Problem) newScratch(ex pool.Executor) *scratch {
 	gs := pool.Shards(p.G, gateChunk)
 	es := pool.Shards(len(p.Edges), edgeChunk)
 	K := p.K
-	slab := make([]float64, 3*p.G+len(p.Edges)+es+2*gs+3*gs*K+5*K)
+	slab := make([]float64, 3*p.G+len(p.Edges)+es+2*gs+3*gs*K+6*K)
 	cut := func(n int) []float64 {
 		b := slab[:n:n]
 		slab = slab[n:]
@@ -248,6 +249,7 @@ func (p *Problem) newScratch(ex pool.Executor) *scratch {
 		bf:       cut(K),
 		af:       cut(K),
 		f1k:      cut(K),
+		zeroK:    cut(K),
 		clamp:    make([]int, gs),
 
 		dirtyGate: cutB(gs),
@@ -747,22 +749,27 @@ func (p *Problem) gradUpdateShard(sc *scratch, s int) {
 	}
 	invK := 1.0 / float64(K)
 	scale4 := 2 * c.C4 / p.N4
-	kf := float64(K)
 	f1k, rsum := sc.f1k, sc.rsum
 	step := sc.step
 	lo, hi := pool.ShardRange(p.G, gateChunk, s)
-	clamped := 0
 	changed := false
 
-	// Fast path: the default configuration (all four terms active, exact
-	// gradients, plain clamped steps, untraced). One loop computes each
-	// gradient entry with the historical association — (f1k[k]·ns_i) +
-	// (b·bf[k] + a·af[k]) + scale4·(…) associates exactly like the
-	// historical g = f1; g += f23; g += f4 sequence — and applies the step
-	// in place, so the w row is read and written once with no gradient
-	// array traffic at all.
+	// Fast paths: all four terms active, exact gradients, clamped steps
+	// without renormalize or dimension reduction. Momentum and traced
+	// solves take gradUpdateFastShard; plain untraced steps take the loop
+	// below. One loop computes each gradient entry with the historical
+	// association — (f1k[k]·ns_i) + (b·bf[k] + a·af[k]) + scale4·(…)
+	// associates exactly like the historical g = f1; g += f23; g += f4
+	// sequence — and applies the step in place, so the w row is read and
+	// written once with no gradient array traffic at all. Everything else
+	// — the paper's ablation modes and problems that lack a cost term —
+	// takes the general path.
 	if ns != nil && bf != nil && c.C4 != 0 && mode == GradientExact &&
-		sc.velocity == nil && !sc.reduceDims && !sc.renorm && !sc.wantNorm {
+		!sc.reduceDims && !sc.renorm {
+		if sc.velocity != nil || sc.wantNorm {
+			p.gradUpdateFastShard(sc, s)
+			return
+		}
 		// Reslice the K-wide factor vectors to their exact length so the
 		// compiler can prove k < K == len and drop the bounds checks from
 		// the inner loop.
@@ -813,6 +820,30 @@ func (p *Problem) gradUpdateShard(sc *scratch, s int) {
 		sc.dirtyGate[s] = changed
 		return
 	}
+	p.gradUpdateGeneralShard(sc, s)
+}
+
+// gradUpdateGeneralShard is the update pass for every configuration the
+// fast paths do not cover.
+func (p *Problem) gradUpdateGeneralShard(sc *scratch, s int) {
+	w, c, mode := sc.w, sc.c, sc.mode
+	K := p.K
+	var ns []float64
+	if sc.hasNS {
+		ns = sc.ns
+	}
+	var bf, af []float64
+	if sc.hasBA {
+		bf, af = sc.bf, sc.af
+	}
+	invK := 1.0 / float64(K)
+	scale4 := 2 * c.C4 / p.N4
+	kf := float64(K)
+	f1k, rsum := sc.f1k, sc.rsum
+	step := sc.step
+	lo, hi := pool.ShardRange(p.G, gateChunk, s)
+	clamped := 0
+	changed := false
 
 	// General path: stage the gradient row in the shard's gRow slot with
 	// exactly the historical term order (F1, then F2+F3, then F4, then the
@@ -940,6 +971,90 @@ func (p *Problem) gradUpdateShard(sc *scratch, s int) {
 	sc.clamp[s] = clamped
 	sc.dirtyGate[s] = changed
 	if sc.wantNorm {
+		sc.partNorm[s] = normSum
+	}
+}
+
+// gradUpdateFastShard is the fused fast path for heavy-ball momentum and
+// traced solves: the plain fast path's gradient expression, plus the
+// velocity update folded into the loop (v ← mom·v + g, step along v), the
+// Σg² partial and the clamp count the iter event reports. Both loops
+// always accumulate Σg² and the clamp count (next to the velocity stream
+// they cost nothing measurable); only a traced solve stores the Σg²
+// partial. Each quantity accumulates in the general path's order — Σg²
+// over the pre-momentum gradient, row by row and k ascending — so both
+// loops are bitwise equal to the general path. The loop is picked once
+// per row, outside the K loop.
+//
+// A row whose neighbor sum is zero takes the all-zero F1 factors: the
+// gathered sum starts at +0 and so is never −0, and +0·+0 + f23 is the
+// general path's g = 0; g += f23, bit for bit.
+func (p *Problem) gradUpdateFastShard(sc *scratch, s int) {
+	w, vel, traced := sc.w, sc.velocity, sc.wantNorm
+	K := p.K
+	f1k, zero, bf, af := sc.f1k[:K:K], sc.zeroK[:K:K], sc.bf[:K:K], sc.af[:K:K]
+	ns, rsum := sc.ns, sc.rsum
+	invK := 1.0 / float64(K)
+	scale4 := 2 * sc.c.C4 / p.N4
+	step, mom := sc.step, sc.mom
+	lo, hi := pool.ShardRange(p.G, gateChunk, s)
+	clamped := 0
+	changed := false
+	var normSum float64
+	for i := lo; i < hi; i++ {
+		base := i * K
+		row := w[base : base+K : base+K]
+		b, a := p.Bias[i], p.Area[i]
+		nsi := ns[i]
+		fk := f1k
+		if nsi == 0 {
+			fk = zero
+		}
+		rowSum := rsum[i]
+		mean := rowSum * invK
+		t1 := rowSum - 1
+		if vel == nil { // traced plain steps
+			for k := 0; k < K; k++ {
+				gk := fk[k]*nsi + (b*bf[k] + a*af[k]) + scale4*(t1-(row[k]-mean)*invK)
+				normSum += gk * gk
+				v := row[k] - step*gk
+				if v < 0 {
+					v = 0
+					clamped++
+				} else if v > 1 {
+					v = 1
+					clamped++
+				}
+				if v != row[k] {
+					changed = true
+				}
+				row[k] = v
+			}
+			continue
+		}
+		vrow := vel[base : base+K : base+K]
+		for k := 0; k < K; k++ {
+			gk := fk[k]*nsi + (b*bf[k] + a*af[k]) + scale4*(t1-(row[k]-mean)*invK)
+			normSum += gk * gk
+			vk := mom*vrow[k] + gk
+			vrow[k] = vk
+			v := row[k] - step*vk
+			if v < 0 {
+				v = 0
+				clamped++
+			} else if v > 1 {
+				v = 1
+				clamped++
+			}
+			if v != row[k] {
+				changed = true
+			}
+			row[k] = v
+		}
+	}
+	sc.clamp[s] = clamped
+	sc.dirtyGate[s] = changed
+	if traced {
 		sc.partNorm[s] = normSum
 	}
 }

@@ -1,10 +1,13 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gpp/internal/pool"
 )
 
 // tinyProblem: 4 gates in a chain, K = 2, distinct bias/area.
@@ -391,5 +394,132 @@ func TestF2F3PermutationInvariant(t *testing.T) {
 	b := p.DiscreteCost(permuted, Coeffs{C2: 1, C3: 1})
 	if math.Abs(a.F2-b.F2) > 1e-12 || math.Abs(a.F3-b.F3) > 1e-12 {
 		t.Errorf("variance terms not permutation invariant: %+v vs %+v", a, b)
+	}
+}
+
+// TestFastUpdateMatchesGeneral drives the descent kernels by hand and, on
+// every iteration, runs the update pass twice from the same state: once
+// through gradUpdate (which picks a fast path) and once through the general
+// path. W, the velocity and the dirty flags must agree bit for bit, and so
+// must the Σg² partials and clamp counts a traced solve reports — the
+// telemetry the golden digests do not cover. The problems span the fast
+// paths' inputs: edge weights, an active plane term, and gates without
+// edges (whose zero neighbor sum takes the all-zero F1 factors).
+func TestFastUpdateMatchesGeneral(t *testing.T) {
+	ksa := traceProblem(t, "KSA16", 5)
+	limited := traceProblem(t, "KSA16", 5)
+	var totalBias float64
+	for _, b := range limited.Bias {
+		totalBias += b
+	}
+	// A budget below the mean plane load keeps the hinge active.
+	limited.PlaneTerms = []PlaneTerm{{Kind: PlaneCurrentLimit, Weight: 1, Limit: 0.8 * totalBias / 5}}
+	isolated := func() *Problem {
+		rng := rand.New(rand.NewSource(8))
+		g := 600
+		bias := make([]float64, g)
+		area := make([]float64, g)
+		for i := range bias {
+			bias[i] = 0.5 + rng.Float64()
+			area[i] = 0.001 + 0.005*rng.Float64()
+		}
+		var edges [][2]int
+		for len(edges) < 500 {
+			if a, b := rng.Intn(g/2), rng.Intn(g/2); a != b {
+				edges = append(edges, [2]int{a, b})
+			}
+		}
+		p, err := NewProblem("isolated-tail", 4, bias, area, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}()
+	problems := map[string]*Problem{
+		"KSA16":         ksa,
+		"weighted":      goldenWeightedProblem(t),
+		"plane-term":    limited,
+		"isolated-tail": isolated,
+	}
+	c := DefaultCoeffs()
+	for name, p := range problems {
+		for _, mom := range []float64{0, 0.9} {
+			for _, traced := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/momentum=%g/traced=%v", name, mom, traced), func(t *testing.T) {
+					checkFastUpdate(t, p, c, mom, traced)
+				})
+			}
+		}
+	}
+}
+
+func checkFastUpdate(t *testing.T, p *Problem, c Coeffs, mom float64, traced bool) {
+	t.Helper()
+	sc := p.newScratch(pool.Ephemeral(1))
+	sc.wantNorm = traced
+	w := p.NewW()
+	p.randomInitW(w, 5)
+	var vel []float64
+	if mom > 0 {
+		vel = make([]float64, len(w))
+	}
+	grad := make([]float64, len(w))
+	p.gradientWith(w, c, GradientExact, grad, sc)
+	maxAbs := 0.0
+	for _, g := range grad {
+		maxAbs = math.Max(maxAbs, math.Abs(g))
+	}
+	// A larger first move than the solver's default drives rows into the
+	// clamp bounds early, so the clamp counts are exercised.
+	sc.setDescentState(p, c, GradientExact, 0.2/maxAbs, mom, vel, false, false)
+	shards := pool.Shards(p.G, gateChunk)
+	bitsEqual := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	clamps := 0
+	for iter := 0; iter < 60; iter++ {
+		p.evalIter(w, c, GradientExact, sc)
+		gw := append(W(nil), w...)
+		var gv []float64
+		if vel != nil {
+			gv = append([]float64(nil), vel...)
+		}
+		sc.w, sc.velocity = gw, gv
+		for s := 0; s < shards; s++ {
+			p.gradUpdateGeneralShard(sc, s)
+		}
+		gNorm := append([]float64(nil), sc.partNorm...)
+		gClamp := append([]int(nil), sc.clamp...)
+		gDirty := append([]bool(nil), sc.dirtyGate...)
+
+		sc.w, sc.velocity = w, vel
+		p.gradUpdate(sc)
+		switch {
+		case !bitsEqual(w, gw):
+			t.Fatalf("iteration %d: W differs from the general path", iter)
+		case !bitsEqual(vel, gv):
+			t.Fatalf("iteration %d: velocity differs from the general path", iter)
+		case fmt.Sprint(sc.dirtyGate) != fmt.Sprint(gDirty):
+			t.Fatalf("iteration %d: dirty flags %v, general path %v", iter, sc.dirtyGate, gDirty)
+		}
+		if traced {
+			if !bitsEqual(sc.partNorm, gNorm) {
+				t.Fatalf("iteration %d: Σg² partials %v, general path %v", iter, sc.partNorm, gNorm)
+			}
+			if fmt.Sprint(sc.clamp) != fmt.Sprint(gClamp) {
+				t.Fatalf("iteration %d: clamp counts %v, general path %v", iter, sc.clamp, gClamp)
+			}
+			for _, n := range gClamp {
+				clamps += n
+			}
+		}
+	}
+	if traced && clamps == 0 {
+		t.Error("no entry was ever clamped; the clamp counts went untested")
 	}
 }

@@ -227,4 +227,50 @@ func TestMomentumValidation(t *testing.T) {
 	if _, err := p.Solve(Options{Momentum: 1.0}); err == nil {
 		t.Error("momentum ≥ 1 accepted")
 	}
+	if _, err := p.Solve(Options{Momentum: -0.5}); err == nil {
+		t.Error("negative momentum other than MomentumAuto accepted")
+	}
+	if _, err := p.Solve(Options{Momentum: MomentumAuto}); err != nil {
+		t.Errorf("MomentumAuto rejected: %v", err)
+	}
+}
+
+// TestMomentumAutoResolves: MomentumAuto is bitwise the heavy-ball solve at
+// autoMomentum on a problem without plane terms and bitwise the plain
+// Algorithm-1 solve on a problem with one, under every solve flavor that
+// goes through SolveCtx.
+func TestMomentumAutoResolves(t *testing.T) {
+	plain := randProblem(t, 150, 5, 280, 41)
+	limited := randProblem(t, 150, 5, 280, 41)
+	limited.PlaneTerms = []PlaneTerm{{Kind: PlaneCurrentLimit, Weight: 1, Limit: 20}}
+	cases := []struct {
+		name string
+		p    *Problem
+		want float64
+	}{
+		{"no-plane-terms", plain, autoMomentum},
+		{"plane-terms", limited, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.p.Solve(Options{Seed: 3, Momentum: tc.want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.p.Solve(Options{Seed: 3, Momentum: MomentumAuto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsIdentical(t, "auto-vs-explicit", want, got)
+			bal, err := tc.p.SolveBalanced(Options{Seed: 3, Momentum: tc.want}, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			balAuto, err := tc.p.SolveBalanced(Options{Seed: 3, Momentum: MomentumAuto}, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsIdentical(t, "balanced auto-vs-explicit", bal, balAuto)
+		})
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"gpp/internal/gen"
+	"gpp/internal/obs"
 )
 
 // The golden kernel hashes pin the solver's exact floating-point output.
@@ -181,10 +182,14 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// TestGoldenKernelParity solves every golden case at Workers 1, 2 and 4 and
-// requires the digest of each run to equal the recorded golden — proving in
-// one shot that (a) the current kernel is bitwise identical to the pre-PR-9
-// kernel and (b) the worker count still never changes a bit.
+// TestGoldenKernelParity solves every golden case at Workers 1, 2 and 4,
+// untraced and again under a no-op Tracer (the configuration every served
+// job runs in), and requires the digest of each run to equal the recorded
+// golden — proving in one shot that (a) the current kernel is bitwise
+// identical to the pre-PR-9 kernel, (b) the worker count still never
+// changes a bit, and (c) the traced update paths (which also accumulate
+// the Σg² and clamp-count telemetry) are bitwise equal to the untraced
+// ones.
 func TestGoldenKernelParity(t *testing.T) {
 	golden := map[string]string{}
 	if !*updateGolden {
@@ -205,18 +210,22 @@ func TestGoldenKernelParity(t *testing.T) {
 			}
 			p := tc.problem(t)
 			var first string
-			for _, workers := range []int{1, 2, 4} {
-				opts := tc.opts
-				opts.Workers = workers
-				res, err := p.Solve(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hash := goldenHash(res)
-				if first == "" {
-					first = hash
-				} else if hash != first {
-					t.Fatalf("workers=%d hash %s differs from workers=1 hash %s", workers, hash, first)
+			for _, tracer := range []obs.Tracer{nil, obs.Nop()} {
+				for _, workers := range []int{1, 2, 4} {
+					opts := tc.opts
+					opts.Workers = workers
+					opts.Tracer = tracer
+					res, err := p.Solve(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hash := goldenHash(res)
+					if first == "" {
+						first = hash
+					} else if hash != first {
+						t.Fatalf("workers=%d traced=%v hash %s differs from untraced workers=1 hash %s",
+							workers, tracer != nil, hash, first)
+					}
 				}
 			}
 			if *updateGolden {

@@ -43,6 +43,10 @@ func (o Options) NormalizeFor(k int) (Options, error) {
 // step, seed, gradient mode, renormalize/reduce-dims/momentum knobs, and
 // the refinement configuration.
 //
+// MomentumAuto is hashed as its own value, not as the rule a solve
+// resolves it to (that needs the problem), so an auto solve never shares
+// a fingerprint with an explicit momentum.
+//
 // Deliberately excluded are the execution-only fields: Workers (results
 // are bitwise identical at every worker count), Tracer, and TraceCost —
 // two solves differing only in those produce the same labels, so they

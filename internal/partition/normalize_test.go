@@ -117,6 +117,8 @@ func TestFingerprintSeparatesSolves(t *testing.T) {
 		{LearnRate: 0.05},
 		{InitStep: 0.01},
 		{Momentum: 0.5},
+		{Momentum: autoMomentum},
+		{Momentum: MomentumAuto},
 		{Renormalize: true},
 		{ReduceDims: true},
 		{Gradient: GradientPaper},

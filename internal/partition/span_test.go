@@ -10,11 +10,35 @@ import (
 )
 
 // TestSolveSpans: a flat solve with a span attached emits one descent span
-// carrying the iteration count, with one checkpoint child per checkpoint
-// callback — and the untimed encoding is byte-identical at every worker
-// count.
+// carrying the resolved momentum and the iteration count, with one
+// checkpoint child per checkpoint callback — and the untimed encoding is
+// byte-identical at every worker count. MomentumAuto records the rule it
+// resolved to: heavy-ball 0.9 without plane terms, plain steps with one.
 func TestSolveSpans(t *testing.T) {
-	p := traceProblem(t, "KSA8", 5)
+	plain := traceProblem(t, "KSA8", 5)
+	limited := traceProblem(t, "KSA8", 5)
+	limited.PlaneTerms = []PlaneTerm{{Kind: PlaneCurrentLimit, Weight: 1, Limit: 50}}
+	cases := []struct {
+		name      string
+		p         *Problem
+		momentum  float64
+		wantAttrs string
+	}{
+		{"plain", plain, 0, "momentum=0 iters=100"},
+		{"explicit", plain, 0.5, "momentum=0.5 iters=100"},
+		{"auto", plain, MomentumAuto, "momentum=0.9 iters=100"},
+		{"auto/plane-terms", limited, MomentumAuto, "momentum=0 iters=100"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			checkSolveSpans(t, tc.p, tc.momentum, tc.wantAttrs)
+		})
+	}
+}
+
+func checkSolveSpans(t *testing.T, p *Problem, momentum float64, wantAttrs string) {
+	t.Helper()
 	run := func(workers int) ([]byte, int) {
 		var buf bytes.Buffer
 		sink := obs.NewJSONL(&buf)
@@ -22,6 +46,7 @@ func TestSolveSpans(t *testing.T) {
 		checkpoints := 0
 		_, err := p.Solve(Options{
 			Seed: 1, MaxIters: 100, Margin: 1e-300, Workers: workers,
+			Momentum:        momentum,
 			CheckpointEvery: 25,
 			Checkpoint:      func(*Snapshot) error { checkpoints++; return nil },
 			Span:            root,
@@ -57,8 +82,8 @@ func TestSolveSpans(t *testing.T) {
 	if descent == nil {
 		t.Fatal("no descent span under the root")
 	}
-	if descent.Event.Attrs != "iters=100" {
-		t.Errorf("descent attrs = %q, want \"iters=100\"", descent.Event.Attrs)
+	if descent.Event.Attrs != wantAttrs {
+		t.Errorf("descent attrs = %q, want %q", descent.Event.Attrs, wantAttrs)
 	}
 	var ckAttrs []string
 	for _, c := range descent.Children {

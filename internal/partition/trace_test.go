@@ -208,12 +208,24 @@ func TestSolveTraceSinkErrorSurfaced(t *testing.T) {
 // allocations per iteration — at every worker count, now that dispatches go
 // through the persistent group (one channel send per worker, no goroutine
 // spawns). Two solves differing only in iteration count must allocate
-// exactly the same — every allocation is per-solve setup.
+// exactly the same — every allocation is per-solve setup. The same holds
+// for heavy-ball momentum and under a no-op Tracer (the serve daemon's
+// configuration): neither fast-path variant may allocate per iteration.
 func TestSolveIterationPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	p := traceProblem(t, "KSA4", 5)
+	variants := []struct {
+		name     string
+		momentum float64
+		tracer   obs.Tracer
+	}{
+		{"plain", 0, nil},
+		{"momentum", 0.9, nil},
+		{"nop-tracer", 0, obs.Nop()},
+		{"momentum+nop-tracer", 0.9, obs.Nop()},
+	}
 	counts := []int{1, 2, runtime.NumCPU()}
 	seen := map[int]bool{}
 	for _, workers := range counts {
@@ -223,20 +235,26 @@ func TestSolveIterationPathAllocFree(t *testing.T) {
 		seen[workers] = true
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			solve := func(maxIters int) func() {
-				return func() {
-					// A margin no real cost ratio reaches keeps the loop
-					// running for exactly maxIters iterations.
-					if _, err := p.Solve(Options{Seed: 1, MaxIters: maxIters, Margin: 1e-300, Workers: workers}); err != nil {
-						t.Fatal(err)
+			for _, v := range variants {
+				v := v
+				t.Run(v.name, func(t *testing.T) {
+					solve := func(maxIters int) func() {
+						return func() {
+							// A margin no real cost ratio reaches keeps the
+							// loop running for exactly maxIters iterations.
+							if _, err := p.Solve(Options{Seed: 1, MaxIters: maxIters, Margin: 1e-300,
+								Workers: workers, Momentum: v.momentum, Tracer: v.tracer}); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
-				}
-			}
-			short := testing.AllocsPerRun(5, solve(10))
-			long := testing.AllocsPerRun(5, solve(110))
-			if long != short {
-				t.Errorf("iteration path allocates: %.1f allocs at 10 iters vs %.1f at 110 (+%.2f per iteration)",
-					short, long, (long-short)/100)
+					short := testing.AllocsPerRun(5, solve(10))
+					long := testing.AllocsPerRun(5, solve(110))
+					if long != short {
+						t.Errorf("iteration path allocates: %.1f allocs at 10 iters vs %.1f at 110 (+%.2f per iteration)",
+							short, long, (long-short)/100)
+					}
+				})
 			}
 		})
 	}

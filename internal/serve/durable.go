@@ -118,9 +118,14 @@ func openDurable(cfg Config) (*durable, []*journaledJob, error) {
 		pending = append(pending, &jj)
 	}
 	// Start from a compact log: replayed history minus everything
-	// terminal.
-	if err := d.compactLocked(); err != nil {
-		return nil, nil, err
+	// terminal. A log whose every record is live is compact already — a
+	// fresh data directory's empty one included — so it is left as it is
+	// rather than rewritten and fsync'd on every boot. A torn tail never
+	// reaches recs: OpenJournal has already truncated it durably.
+	if len(d.live) < len(recs) {
+		if err := d.compactLocked(); err != nil {
+			return nil, nil, err
+		}
 	}
 	return d, pending, nil
 }

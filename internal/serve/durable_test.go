@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"testing"
 	"time"
 
 	"gpp/internal/gen"
+	"gpp/internal/obs"
 	"gpp/internal/store"
 )
 
@@ -156,6 +158,126 @@ func TestDurableJournalMarksFinished(t *testing.T) {
 	s2.durable.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("journal has %d live records after clean finish", live)
+	}
+}
+
+// TestDurableBootRewritesOnlyStaleJournals: a boot compacts the journal
+// only when replay found records to drop. A fresh data directory's empty
+// journal and a just-compacted one are not rewritten; a terminal record
+// forces the rewrite.
+func TestDurableBootRewritesOnlyStaleJournals(t *testing.T) {
+	compactions := obs.Default().Counter("gpp_journal_compactions_total")
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 8, DataDir: dir}
+
+	c0 := compactions.Value()
+	s1, base1 := newTestServer(t, cfg)
+	if got := compactions.Value() - c0; got != 0 {
+		t.Fatalf("boot on a fresh data directory compacted %d times, want 0", got)
+	}
+	_, sb, _ := postJob(t, base1, fastReq(4004))
+	waitTerminal(t, base1, sb.ID)
+	shutdownNow(t, s1)
+
+	c1 := compactions.Value()
+	s2, _ := restartServer(t, cfg)
+	if got := compactions.Value() - c1; got != 1 {
+		t.Fatalf("boot on a journal with a terminal record compacted %d times, want 1", got)
+	}
+	shutdownNow(t, s2)
+
+	c2 := compactions.Value()
+	restartServer(t, cfg)
+	if got := compactions.Value() - c2; got != 0 {
+		t.Fatalf("boot on a just-compacted journal compacted %d times, want 0", got)
+	}
+}
+
+// TestDurableBootOnTornJournal: a crash mid-append leaves a torn tail
+// behind records that are all still live. The boot truncates the tail in
+// store.OpenJournal (fsync'd there, since no compaction follows), replays
+// the live job, and the records appended after the boot replay cleanly.
+func TestDurableBootOnTornJournal(t *testing.T) {
+	torn := obs.Default().Counter("gpp_journal_torn_total")
+	compactions := obs.Default().Counter("gpp_journal_compactions_total")
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 8, DataDir: dir}
+
+	circuit, err := gen.Benchmark("KSA8", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circJSON, err := json.Marshal(circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobKey, err := st.Blobs.Put(circJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.JournalPath()
+	jnl, _, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobID = "deadbeef00000003"
+	data, err := json.Marshal(&journaledJob{
+		ID: jobID, CircuitBlob: blobKey, CircuitName: circuit.Name,
+		K: 4, Options: &JobOptions{Seed: 4005, MaxIters: 300},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jnl.Append(store.Record{Op: "accept", ID: jobID, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`deadbeef {"seq":1,"op":"acc`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	t0, c0, r0 := torn.Value(), compactions.Value(), mJobsRecovered.Value()
+	s, base := newTestServer(t, cfg)
+	if got := torn.Value() - t0; got != 1 {
+		t.Fatalf("boot counted %d torn tails, want 1", got)
+	}
+	if got := compactions.Value() - c0; got != 0 {
+		t.Fatalf("boot on an all-live journal compacted %d times, want 0", got)
+	}
+	if got := mJobsRecovered.Value() - r0; got != 1 {
+		t.Fatalf("recovered %v jobs at boot, want 1", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("truncation left its temp file behind: %v", err)
+	}
+	if sb := waitTerminal(t, base, jobID); sb.Status != StatusDone {
+		t.Fatalf("replayed job ended %s: %s", sb.Status, sb.Error)
+	}
+	shutdownNow(t, s)
+
+	// The done record landed after the clean prefix, not after garbage.
+	t1 := torn.Value()
+	jnl, recs, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	if got := torn.Value() - t1; got != 0 {
+		t.Fatalf("second replay hit %d torn tails, want 0", got)
+	}
+	if len(recs) != 2 || recs[0].Op != "accept" || recs[1].Op != string(StatusDone) || recs[1].ID != jobID {
+		t.Fatalf("journal after boot = %+v, want accept then done of %s", recs, jobID)
 	}
 }
 

@@ -90,18 +90,26 @@ type JobRequest struct {
 // subset plus Workers; Workers affects speed only, never the result or the
 // cache key).
 type JobOptions struct {
-	Seed          int64   `json:"seed,omitempty"`
-	Margin        float64 `json:"margin,omitempty"`
-	MaxIters      int     `json:"max_iters,omitempty"`
-	LearnRate     float64 `json:"learn_rate,omitempty"`
-	InitStep      float64 `json:"init_step,omitempty"`
-	Momentum      float64 `json:"momentum,omitempty"`
-	Renormalize   bool    `json:"renormalize,omitempty"`
-	ReduceDims    bool    `json:"reduce_dims,omitempty"`
-	PaperGradient bool    `json:"paper_gradient,omitempty"`
-	Refine        bool    `json:"refine,omitempty"`
-	RefinePasses  int     `json:"refine_passes,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
+	Seed      int64   `json:"seed,omitempty"`
+	Margin    float64 `json:"margin,omitempty"`
+	MaxIters  int     `json:"max_iters,omitempty"`
+	LearnRate float64 `json:"learn_rate,omitempty"`
+	InitStep  float64 `json:"init_step,omitempty"`
+	// Momentum is the heavy-ball coefficient, in [0, 1). Absent means the
+	// daemon default: partition.MomentumAuto for flat jobs (plain,
+	// balanced and restarts) — momentum 0.9 unless the compiled problem
+	// has plane terms, which keep plain steps — and plain steps for
+	// multilevel jobs. An explicit value, 0 included, is used as given:
+	// "momentum": 0 is the paper's literal Algorithm 1. Absent and
+	// explicit spellings have distinct cache keys even where they run the
+	// same rule.
+	Momentum      *float64 `json:"momentum,omitempty"`
+	Renormalize   bool     `json:"renormalize,omitempty"`
+	ReduceDims    bool     `json:"reduce_dims,omitempty"`
+	PaperGradient bool     `json:"paper_gradient,omitempty"`
+	Refine        bool     `json:"refine,omitempty"`
+	RefinePasses  int      `json:"refine_passes,omitempty"`
+	Workers       int      `json:"workers,omitempty"`
 
 	// Precision selects the kernel arithmetic tier: "" or "float64" is the
 	// default kernel, "float32" the opt-in reduced-precision tier. The
@@ -141,9 +149,14 @@ func (m *MultilevelJob) toOptions(k int) multilevel.Options {
 	return o.Normalize(k)
 }
 
-func (o *JobOptions) toPartition() partition.Options {
+// toPartition maps the request options onto solver options. flat selects
+// the default for an absent momentum: MomentumAuto for a flat descent,
+// plain steps for the V-cycle. An explicit momentum outside [0, 1) is an
+// error naming the value — MomentumAuto's own value included, which only
+// an absent field selects.
+func (o *JobOptions) toPartition(flat bool) (partition.Options, error) {
 	if o == nil {
-		return partition.Options{}
+		o = &JobOptions{}
 	}
 	p := partition.Options{
 		Seed:         o.Seed,
@@ -151,7 +164,6 @@ func (o *JobOptions) toPartition() partition.Options {
 		MaxIters:     o.MaxIters,
 		LearnRate:    o.LearnRate,
 		InitStep:     o.InitStep,
-		Momentum:     o.Momentum,
 		Renormalize:  o.Renormalize,
 		ReduceDims:   o.ReduceDims,
 		Refine:       o.Refine,
@@ -172,7 +184,16 @@ func (o *JobOptions) toPartition() partition.Options {
 		// validation reports them instead of silently running float64.
 		p.Precision = partition.Precision(-1)
 	}
-	return p
+	switch {
+	case o.Momentum != nil:
+		if m := *o.Momentum; !(m >= 0 && m < 1) {
+			return partition.Options{}, fmt.Errorf("momentum %g must be in [0, 1) (omit it for the default)", m)
+		}
+		p.Momentum = *o.Momentum
+	case flat:
+		p.Momentum = partition.MomentumAuto
+	}
+	return p, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -329,13 +350,16 @@ func (s *Server) makeJob(c *netlist.Circuit, name string, req *JobRequest) (*job
 		n := req.Multilevel.toOptions(req.K)
 		ml = &n
 	}
-	opts := req.Options.toPartition()
+	opts, err := req.Options.toPartition(ml == nil)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
 	if opts.Workers == 0 {
 		// Inside the daemon, cross-job concurrency is the parallelism
 		// axis; kernels default to serial (a request may override).
 		opts.Workers = 1
 	}
-	opts, err := opts.NormalizeFor(req.K)
+	opts, err = opts.NormalizeFor(req.K)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}

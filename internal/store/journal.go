@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 )
@@ -59,14 +60,17 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 	}
 	// Truncate a torn tail before appending: a new record must never sit
 	// after garbage, or the next replay would stop at the garbage and
-	// lose it.
+	// lose it. The truncated copy is fsync'd before the rename and the
+	// rename is fsync'd after it, so the records appended next never sit
+	// in a file a crash could leave unwritten or unlinked.
 	if goodLen < len(raw) {
-		if err := os.WriteFile(path+".tmp", raw[:goodLen], 0o644); err != nil {
-			return nil, nil, fmt.Errorf("store: journal: %w", err)
+		if err := writeSynced(path+".tmp", raw[:goodLen]); err != nil {
+			return nil, nil, err
 		}
 		if err := os.Rename(path+".tmp", path); err != nil {
 			return nil, nil, fmt.Errorf("store: journal: %w", err)
 		}
+		syncDir(filepath.Dir(path))
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -188,20 +192,8 @@ func (j *Journal) Compact(live []Record) error {
 		}
 	}
 	tmp := j.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: journal: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("store: journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: journal: %w", err)
+	if err := writeSynced(tmp, buf); err != nil {
+		return err
 	}
 	// Swap the live file under the append handle: close, rename, reopen.
 	// Appends are excluded by mu for the whole window, so no write can
@@ -215,7 +207,8 @@ func (j *Journal) Compact(live []Record) error {
 	if err := os.Rename(tmp, j.path); err != nil {
 		return fmt.Errorf("store: journal: %w", err)
 	}
-	f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	syncDir(filepath.Dir(j.path))
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: journal: reopen after compact: %w", err)
 	}
@@ -223,6 +216,27 @@ func (j *Journal) Compact(live []Record) error {
 	j.w = bufio.NewWriter(f)
 	j.appends = 0
 	mJournalCompactions.Inc()
+	return nil
+}
+
+// writeSynced writes data to a fresh file at name and fsyncs it, the first
+// half of replacing the journal: a rename only exposes synced bytes.
+func writeSynced(name string, data []byte) error {
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("store: journal: %w", err)
+	}
 	return nil
 }
 

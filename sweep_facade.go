@@ -92,7 +92,10 @@ func (r *SweepResult) Best() *SweepCell {
 // Sweep solves the full scenario matrix in process — K ranges, c-weight
 // grid points, and regime term sets — and ranks the outcomes. For the
 // daemon-backed equivalent (cached, cluster-distributed cells) POST the
-// same spec to /v1/sweeps.
+// same spec to /v1/sweeps. The two agree cell for cell when base carries
+// what a daemon cell runs: Momentum MomentumAuto, the daemon's default
+// for cells whose request names no momentum. The zero base runs the
+// paper's plain steps, which the daemon runs for "momentum": 0.
 func Sweep(c *Circuit, spec SweepSpec, base Options) (*SweepResult, error) {
 	return SweepCtx(context.Background(), c, spec, base)
 }
