@@ -112,9 +112,7 @@ cluster-smoke:
 	CLUSTER_SMOKE_LOG_DIR=$(CLUSTER_SMOKE_LOG_DIR) \
 		$(GO) test -race -count=1 -run 'TestClusterSmoke$$' -v ./cmd/gpp-serve
 
-# Run the fuzzers for 30s each: solver-options validation and the
-# incremental-vs-full-sweep bitwise parity check (regular `make test`
-# already runs both seed corpora as unit tests).
+# Run the solver-options validation fuzzer for 30s (regular `make test`
+# already runs its seed corpus as a unit test).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzSolveOptions -fuzztime 30s ./internal/partition
-	$(GO) test -run xxx -fuzz FuzzIncrementalParity -fuzztime 30s ./internal/partition

@@ -18,7 +18,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -148,33 +147,6 @@ func perfProblem(name string, k int) (*partition.Problem, error) {
 		return nil, err
 	}
 	return partition.FromCircuit(c, k)
-}
-
-// frozenTailProblem builds the incremental-tier showcase topology: a
-// 256-gate edged core carrying all bias/area, plus an edge-free tail of
-// zero-attribute gates whose rows clamp-freeze at one-hot vertices under
-// F4 — after which their shards go clean and the incremental planner's
-// skip masks engage. Mirrors the partition package's fuzz topology.
-func frozenTailProblem(g, e, k int) (*partition.Problem, error) {
-	rng := rand.New(rand.NewSource(9))
-	bias := make([]float64, g)
-	area := make([]float64, g)
-	span := g / 2
-	if span > 256 {
-		span = 256
-	}
-	for i := 0; i < span; i++ {
-		bias[i] = 0.2 + rng.Float64()
-		area[i] = 0.001 + 0.004*rng.Float64()
-	}
-	var edges [][2]int
-	for len(edges) < e {
-		a, b := rng.Intn(span), rng.Intn(span)
-		if a != b {
-			edges = append(edges, [2]int{a, b})
-		}
-	}
-	return partition.NewProblem("frozen-tail", k, bias, area, edges)
 }
 
 // runPerf executes the benchmark matrix and writes (or appends to) the
@@ -307,57 +279,6 @@ func runPerf(out, label string, appendSeries, smoke bool, budget time.Duration) 
 		}
 	}
 
-	// Float32-tier cells: the same fixed-iteration solves on the opt-in
-	// reduced-precision kernel (Options.Precision = Precision32). The
-	// 200-iteration KSA32 cell compares against BenchmarkSolverCkptKSA32Off
-	// and the par6000 cell against BenchmarkSolverpar6000K5W1 — identical
-	// workloads on the float64 kernel.
-	f32Cells := []struct {
-		circuit string
-		k       int
-		iters   int
-	}{
-		{"KSA32", 5, 200},
-		{"par6000", 5, 40},
-	}
-	if smoke {
-		f32Cells = f32Cells[:0]
-		f32Cells = append(f32Cells, struct {
-			circuit string
-			k       int
-			iters   int
-		}{"KSA4", 5, 2})
-	}
-	for _, fc := range f32Cells {
-		p, err := perfProblem(fc.circuit, fc.k)
-		if err != nil {
-			return err
-		}
-		opts := partition.Options{
-			Seed: 1, MaxIters: fc.iters, Margin: 1e-300, Workers: 1,
-			Precision: partition.Precision32,
-		}
-		iters := 0
-		op := func() {
-			res, err := p.Solve(opts)
-			if err != nil {
-				panic(err)
-			}
-			iters = res.Iters
-		}
-		ops, ns, allocs, bytes := measureOp(op, budget, maxOps)
-		b := perfBench{
-			Name:    fmt.Sprintf("BenchmarkSolverF32%sK%dW1", fc.circuit, fc.k),
-			Circuit: fc.circuit, K: fc.k, Workers: 1,
-			Ops: ops, NsPerOp: ns, ItersPerOp: iters,
-			NsPerIter:   ns / float64(iters),
-			AllocsPerOp: allocs, BytesPerOp: bytes,
-		}
-		series.Benchmarks = append(series.Benchmarks, b)
-		fmt.Fprintf(os.Stderr, "perf: %-34s %12.0f ns/op %10.0f ns/iter %8.1f allocs/op\n",
-			b.Name, b.NsPerOp, b.NsPerIter, b.AllocsPerOp)
-	}
-
 	// Registry-kernel cells: the same fixed-iteration KSA32 solve on a
 	// problem built through the cost-term registry. The Default cell spells
 	// f1..f4 explicitly — it must compile to the historical kernel path, so
@@ -416,54 +337,6 @@ func runPerf(out, label string, appendSeries, smoke bool, budget time.Duration) 
 		series.Benchmarks = append(series.Benchmarks, b)
 		fmt.Fprintf(os.Stderr, "perf: %-34s %12.0f ns/op %10.0f ns/iter %8.1f allocs/op\n",
 			b.Name, b.NsPerOp, b.NsPerIter, b.AllocsPerOp)
-	}
-
-	// Incremental-tier showcase: a partially-frozen descent (edge-free
-	// zero-attribute tail that clamp-freezes at its one-hot vertices while
-	// the edged core keeps moving — see the FuzzIncrementalParity topology)
-	// where the planner's skip masks genuinely engage. The paired Off cell
-	// is the identical solve with NoIncremental, so the gap prices exactly
-	// what dirty-shard skipping buys in its favorable regime; on
-	// random-init descents of real circuits every shard stays dirty and
-	// the tier honestly buys nothing (DESIGN.md §15).
-	{
-		incrIters := 192
-		if smoke {
-			incrIters = 4
-		}
-		p, err := frozenTailProblem(768, 600, 4)
-		if err != nil {
-			return err
-		}
-		for _, noIncr := range []bool{false, true} {
-			opts := partition.Options{
-				Seed: 2, MaxIters: incrIters, Margin: 1e-300, Workers: 1,
-				LearnRate: 2000, NoIncremental: noIncr,
-			}
-			name := "BenchmarkSolverIncrFrozenW1"
-			if noIncr {
-				name = "BenchmarkSolverIncrFrozenOffW1"
-			}
-			iters := 0
-			op := func() {
-				res, err := p.Solve(opts)
-				if err != nil {
-					panic(err)
-				}
-				iters = res.Iters
-			}
-			ops, ns, allocs, bytes := measureOp(op, budget, maxOps)
-			b := perfBench{
-				Name:    name,
-				Circuit: "frozen768", K: 4, Workers: 1,
-				Ops: ops, NsPerOp: ns, ItersPerOp: iters,
-				NsPerIter:   ns / float64(iters),
-				AllocsPerOp: allocs, BytesPerOp: bytes,
-			}
-			series.Benchmarks = append(series.Benchmarks, b)
-			fmt.Fprintf(os.Stderr, "perf: %-34s %12.0f ns/op %10.0f ns/iter %8.1f allocs/op\n",
-				b.Name, b.NsPerOp, b.NsPerIter, b.AllocsPerOp)
-		}
 	}
 
 	// Multilevel V-cycle scale series: the million-gate acceptance path.

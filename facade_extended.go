@@ -130,24 +130,6 @@ func WriteVerilog(w io.Writer, c *Circuit, res *Result) error {
 	return verilog.Write(w, c, opts)
 }
 
-// PartitionBest runs the solver with `restarts` seeds and keeps the best
-// discrete-cost result.
-func PartitionBest(c *Circuit, k int, opts Options, restarts int) (*Result, error) {
-	p, err := partition.FromCircuit(c, k)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.SolveBest(opts, restarts)
-	if err != nil {
-		return nil, err
-	}
-	m, err := recycle.Evaluate(p, res.Labels)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{K: k, Labels: res.Labels, Metrics: m, Iters: res.Iters, Converged: res.Converged}, nil
-}
-
 // PartitionPortfolio races po.Restarts independent solver runs concurrently
 // on a bounded worker pool and returns the best discrete-cost partition
 // plus the full per-seed portfolio. The race is deterministic: the same

@@ -2,6 +2,7 @@ package gpp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -113,23 +114,36 @@ func TestPartitionBalancedBound(t *testing.T) {
 	}
 }
 
-func TestPartitionBestNotWorseThanSingle(t *testing.T) {
+// TestPartitionPortfolioFacade: the facade reports the portfolio's winner,
+// and racing seeds never ends worse than the first seed alone.
+func TestPartitionPortfolioFacade(t *testing.T) {
 	c, err := Benchmark("KSA4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Partition(c, 5, Options{Seed: 1, MaxIters: 400})
+	res, pf, err := PartitionPortfolio(context.Background(), c, 5,
+		Options{Seed: 1, MaxIters: 400}, PortfolioOptions{Restarts: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := PartitionBest(c, 5, Options{Seed: 1, MaxIters: 400}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare on I_comp (a reasonable proxy; the true criterion is the
-	// discrete cost, which PartitionBest minimizes internally).
-	if best.Metrics == nil || single.Metrics == nil {
+	if res.Metrics == nil {
 		t.Fatal("metrics missing")
+	}
+	if len(res.Labels) != len(pf.Best.Labels) {
+		t.Fatalf("facade has %d labels, portfolio best %d", len(res.Labels), len(pf.Best.Labels))
+	}
+	for i := range res.Labels {
+		if res.Labels[i] != pf.Best.Labels[i] {
+			t.Fatalf("facade label[%d] = %d, portfolio best %d", i, res.Labels[i], pf.Best.Labels[i])
+		}
+	}
+	if res.Iters != pf.Best.Iters || res.Converged != pf.Best.Converged {
+		t.Errorf("facade iters/converged %d/%v, portfolio best %d/%v",
+			res.Iters, res.Converged, pf.Best.Iters, pf.Best.Converged)
+	}
+	if first := pf.Seeds[0]; first.Seed != 1 || pf.Best.Discrete.Total > first.Discrete.Total {
+		t.Errorf("best discrete cost %g above seed %d's %g",
+			pf.Best.Discrete.Total, first.Seed, first.Discrete.Total)
 	}
 }
 

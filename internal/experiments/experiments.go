@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -86,7 +87,11 @@ func runOne(c *netlist.Circuit, k int, cfg Config) (Row, error) {
 	}
 	var res *partition.Result
 	if cfg.Restarts > 1 {
-		res, err = p.SolveBest(cfg.Solver, cfg.Restarts)
+		var pf *partition.Portfolio
+		if pf, err = p.SolvePortfolio(context.Background(), cfg.Solver,
+			partition.PortfolioOptions{Restarts: cfg.Restarts, Workers: 1}); err == nil {
+			res = pf.Best
+		}
 	} else {
 		res, err = p.Solve(cfg.Solver)
 	}

@@ -42,8 +42,6 @@ const (
 	passNSGather
 	passGrad
 	passGradUpdate
-	passFusedGate32
-	passGradUpdate32
 )
 
 type scratch struct {
@@ -65,20 +63,6 @@ type scratch struct {
 	gRow     []float64 // gateShards×K per-shard gradient row staging
 	clamp    []int     // gate-shard clamp counts (update step)
 
-	// Incremental descent state (see incremental.go). dirtyGate[s] is set
-	// by the fused gradient+update pass when any w entry of gate shard s
-	// changed; the skip masks, when non-nil, tell the cost-side passes
-	// which shards can keep their stored partials from the previous
-	// iteration. nil masks mean a full sweep.
-	dirtyGate []bool // per gate shard: last update changed some w entry
-	skipGate  []bool // fused gate sweep skip mask (nil = run all)
-	skipEdge  []bool // edge sweep skip mask
-	skipGath  []bool // neighbor-sum gather skip mask
-	maskGate  []bool // backing storage for skipGate
-	maskEdge  []bool // backing storage for skipEdge
-	maskGath  []bool // backing storage for skipGath
-	sinceSync int    // iterations since the last full sweep
-
 	// Bound kernel inputs, set by the *With entry points before each
 	// dispatch. The shard kernels read them through the scratch pointer so
 	// the dispatch closure can be built once, here, and reused for the
@@ -86,8 +70,6 @@ type scratch struct {
 	// call site would heap-allocate on every kernel call — several
 	// allocations per descent iteration.
 	w        W            // assignment matrix the kernels read
-	w32      []float32    // float32-tier matrix, SoA: w32[k*G+i] (cost32.go)
-	vel32    []float32    // float32-tier momentum state, same layout
 	grad     []float64    // gradient output row block
 	c        Coeffs       // coefficients for the gradient pass
 	mode     GradientMode // gradient mode for F1/F4 terms
@@ -120,29 +102,17 @@ func (p *Problem) dispatch(sc *scratch) func(int) {
 		case passPlane:
 			p.planeSumsShard(sc, s)
 		case passFusedGate:
-			if sc.skipGate == nil || !sc.skipGate[s] {
-				p.fusedGateShard(sc, s)
-			}
+			p.fusedGateShard(sc, s)
 		case passEdgeIter:
-			if sc.skipEdge == nil || !sc.skipEdge[s] {
-				p.edgeIterShard(sc, s)
-			}
+			p.edgeIterShard(sc, s)
 		case passNS:
 			p.neighborSumsShard(sc, s)
 		case passNSGather:
-			if sc.skipGath == nil || !sc.skipGath[s] {
-				p.nsGatherShard(sc, s)
-			}
+			p.nsGatherShard(sc, s)
 		case passGrad:
 			p.gradientShard(sc, s)
 		case passGradUpdate:
 			p.gradUpdateShard(sc, s)
-		case passFusedGate32:
-			if sc.skipGate == nil || !sc.skipGate[s] {
-				p.fusedGate32Shard(sc, s)
-			}
-		case passGradUpdate32:
-			p.gradUpdate32Shard(sc, s)
 		}
 	}
 }
@@ -169,17 +139,14 @@ func (p *Problem) newPlaneScratch(ex pool.Executor) *scratch {
 }
 
 // newCostScratch carries the buffers of one cost evaluation (fused gate
-// pass + F1 edge pass) — no gradient, neighbor-sum, or update state. No
-// rsum buffer on purpose: that keeps the one-shot entry points on the
-// historical row-major gate sweep; the column-blocked form (which needs
-// the stored row sums) only wins when the descent loop reuses the block
-// across an iteration's passes.
+// pass + F1 edge pass) — no gradient, neighbor-sum, or update state.
 func (p *Problem) newCostScratch(ex pool.Executor) *scratch {
 	gs := pool.Shards(p.G, gateChunk)
 	es := pool.Shards(len(p.Edges), edgeChunk)
 	sc := &scratch{
 		ex:       ex,
 		l:        make([]float64, p.G),
+		rsum:     make([]float64, p.G),
 		partEdge: make([]float64, es),
 		partGate: make([]float64, gs),
 		partB:    make([]float64, gs*p.K),
@@ -213,9 +180,8 @@ func (p *Problem) newGradScratch(ex pool.Executor) *scratch {
 // newScratch is the full solver scratch: everything the fused iteration
 // evaluation (evalIter), the calibration gradient, the fused
 // gradient+update pass, and the final cost need. All float64 buffers come
-// out of one backing slab and the bool masks out of another — the whole
-// solver working set is a handful of setup allocations, and the descent
-// loop itself allocates nothing.
+// out of one backing slab — the whole solver working set is a handful of
+// setup allocations, and the descent loop itself allocates nothing.
 func (p *Problem) newScratch(ex pool.Executor) *scratch {
 	gs := pool.Shards(p.G, gateChunk)
 	es := pool.Shards(len(p.Edges), edgeChunk)
@@ -224,12 +190,6 @@ func (p *Problem) newScratch(ex pool.Executor) *scratch {
 	cut := func(n int) []float64 {
 		b := slab[:n:n]
 		slab = slab[n:]
-		return b
-	}
-	bools := make([]bool, 3*gs+es)
-	cutB := func(n int) []bool {
-		b := bools[:n:n]
-		bools = bools[n:]
 		return b
 	}
 	sc := &scratch{
@@ -251,11 +211,6 @@ func (p *Problem) newScratch(ex pool.Executor) *scratch {
 		f1k:      cut(K),
 		zeroK:    cut(K),
 		clamp:    make([]int, gs),
-
-		dirtyGate: cutB(gs),
-		maskGate:  cutB(gs),
-		maskGath:  cutB(gs),
-		maskEdge:  cutB(es),
 	}
 	sc.kern = p.dispatch(sc)
 	return sc
@@ -364,7 +319,6 @@ func (p *Problem) CostParallel(w W, c Coeffs, workers int) Breakdown {
 func (p *Problem) costWith(w W, c Coeffs, sc *scratch) Breakdown {
 	sc.w = w
 	sc.hasNS = false // cost only: the edge pass skips the cube fill
-	sc.skipGate, sc.skipEdge, sc.skipGath = nil, nil, nil
 	sc.run(pool.Shards(p.G, gateChunk), passFusedGate)
 	f4 := p.mergeGatePartials(sc)
 	f2, f3 := p.varianceF2F3(sc.bk, sc.ak)
@@ -373,62 +327,20 @@ func (p *Problem) costWith(w W, c Coeffs, sc *scratch) Breakdown {
 }
 
 // fusedGateShard is the single gate sweep shared by every cost/iteration
-// evaluation: one pass over the rows of w produces the continuous labels
-// (Eq. 3), the per-plane bias/area partial sums (F2/F3), and the F4 vertex
-// penalty partials. Each quantity keeps its own accumulator and its
-// historical accumulation order, so the fused sweep is bitwise identical to
-// the three separate sweeps it replaces — it just reads w once instead of
-// three times.
+// evaluation: one pass over the shard's block of w produces the continuous
+// labels (Eq. 3), the per-plane bias/area partial sums (F2/F3), the row
+// sums the F4 gradient reuses, and the F4 vertex penalty partials. The
+// sweep is cache-blocked and column-major: instead of walking each row
+// once with four interleaved accumulators — whose serial FP add chains
+// bound the sweep by add latency, not throughput — it sweeps the block one
+// plane column at a time, accumulating the per-plane sums in registers and
+// the labels/row sums elementwise, then finishes the F4 variance per row.
+// Every accumulator adds the same values in the same order as the
+// historical row-major sweep (l[i] and rsum[i] over k ascending,
+// pb[k]/pa[k] over i ascending, varSum and f4 row by row), so the two are
+// bitwise identical (DESIGN.md §15.2); the shard block (gateChunk rows)
+// stays resident in L1 across the K column passes.
 func (p *Problem) fusedGateShard(sc *scratch, s int) {
-	if sc.rsum != nil {
-		p.fusedGateShardBlocked(sc, s)
-		return
-	}
-	w := sc.w
-	lo, hi := pool.ShardRange(p.G, gateChunk, s)
-	pb := sc.partB[s*p.K : (s+1)*p.K]
-	pa := sc.partA[s*p.K : (s+1)*p.K]
-	for k := range pb {
-		pb[k], pa[k] = 0, 0
-	}
-	invK := 1.0 / float64(p.K)
-	var f4 float64
-	for i := lo; i < hi; i++ {
-		b, a := p.Bias[i], p.Area[i]
-		row := w[i*p.K : (i+1)*p.K]
-		var lsum, rowSum float64
-		for k, v := range row {
-			lsum += float64(k+1) * v
-			pb[k] += b * v
-			pa[k] += a * v
-			rowSum += v
-		}
-		sc.l[i] = lsum
-		mean := rowSum * invK
-		t1 := rowSum - 1 // K·w̄_i − 1
-		var varSum float64
-		for _, v := range row {
-			d := v - mean
-			varSum += d * d
-		}
-		f4 += t1*t1 - invK*varSum
-	}
-	sc.partGate[s] = f4
-}
-
-// fusedGateShardBlocked is the cache-blocked column-major form of the fused
-// gate sweep, used whenever the scratch carries a row-sum buffer (the
-// solver path): instead of walking each row once with four interleaved
-// accumulators — whose serial FP add chains bound the sweep by add latency,
-// not throughput — it sweeps the shard's w block one plane column at a
-// time, accumulating the per-plane sums in registers and the labels/row
-// sums elementwise, then finishes the F4 variance per row. Every
-// accumulator still adds the exact same values in the exact same order
-// (l[i] and rsum[i] over k ascending, pb[k]/pa[k] over i ascending, varSum
-// and f4 as before), so the blocked form is bitwise identical to the
-// row-major one; the shard block (gateChunk rows) stays resident in L1
-// across the K column passes.
-func (p *Problem) fusedGateShardBlocked(sc *scratch, s int) {
 	w := sc.w
 	K := p.K
 	lo, hi := pool.ShardRange(p.G, gateChunk, s)
@@ -689,16 +601,10 @@ func (p *Problem) gradientWith(w W, c Coeffs, mode GradientMode, grad []float64,
 // plus the cost Breakdown the stopping test reads. Splitting the evaluation
 // here lets the solver check the margin before any gradient work: on the
 // converged iteration the historical kernel computed a gradient and threw
-// it away, so skipping it is bitwise invisible.
-//
-// When the incremental skip masks are armed (see incremental.go), shards
-// whose inputs provably did not change since the previous iteration keep
-// their stored labels, cubes, neighbor sums, and partial sums; the
-// shard-order merges below read the same bytes a full sweep would have
-// written, so the result stays bitwise identical to a full sweep. Every
-// individual accumulator keeps its historical association, so the fused
-// evaluation is also bitwise identical to the historical two-pass
-// cost+gradient form at every worker count (see DESIGN.md §10, §15).
+// it away, so skipping it is bitwise invisible. Every individual
+// accumulator keeps its historical association, so the fused evaluation
+// is bitwise identical to the historical two-pass cost+gradient form at
+// every worker count (see DESIGN.md §10, §15).
 func (p *Problem) evalIter(w W, c Coeffs, mode GradientMode, sc *scratch) Breakdown {
 	sc.w, sc.mode = w, mode
 	sc.hasNS = c.C1 != 0 && len(p.Edges) > 0
@@ -730,8 +636,7 @@ func (p *Problem) evalIter(w W, c Coeffs, mode GradientMode, sc *scratch) Breakd
 // ns/bf/af/rsum quantities — never on another row's updated values — so the
 // per-row interleave is element-for-element identical to the historical
 // separate gradient pass + update pass. The pass also records per-shard
-// clamp counts, Σg² partials (traced solves), and the dirty flags the
-// incremental tier reads.
+// clamp counts and Σg² partials (traced solves).
 func (p *Problem) gradUpdate(sc *scratch) {
 	sc.run(pool.Shards(p.G, gateChunk), passGradUpdate)
 }
@@ -752,7 +657,6 @@ func (p *Problem) gradUpdateShard(sc *scratch, s int) {
 	f1k, rsum := sc.f1k, sc.rsum
 	step := sc.step
 	lo, hi := pool.ShardRange(p.G, gateChunk, s)
-	changed := false
 
 	// Fast paths: all four terms active, exact gradients, clamped steps
 	// without renormalize or dimension reduction. Momentum and traced
@@ -793,9 +697,6 @@ func (p *Problem) gradUpdateShard(sc *scratch, s int) {
 					} else if v > 1 {
 						v = 1
 					}
-					if v != row[k] {
-						changed = true
-					}
 					row[k] = v
 				}
 			} else {
@@ -809,15 +710,11 @@ func (p *Problem) gradUpdateShard(sc *scratch, s int) {
 					} else if v > 1 {
 						v = 1
 					}
-					if v != row[k] {
-						changed = true
-					}
 					row[k] = v
 				}
 			}
 		}
 		sc.clamp[s] = 0
-		sc.dirtyGate[s] = changed
 		return
 	}
 	p.gradUpdateGeneralShard(sc, s)
@@ -843,7 +740,6 @@ func (p *Problem) gradUpdateGeneralShard(sc *scratch, s int) {
 	step := sc.step
 	lo, hi := pool.ShardRange(p.G, gateChunk, s)
 	clamped := 0
-	changed := false
 
 	// General path: stage the gradient row in the shard's gRow slot with
 	// exactly the historical term order (F1, then F2+F3, then F4, then the
@@ -904,17 +800,13 @@ func (p *Problem) gradUpdateGeneralShard(sc *scratch, s int) {
 			gLast := g[last]
 			var sum float64
 			for k := 0; k < last; k++ {
-				ov := row[k]
-				v := ov - step*(g[k]-gLast)
+				v := row[k] - step*(g[k]-gLast)
 				if v < 0 {
 					v = 0
 					clamped++
 				} else if v > 1 {
 					v = 1
 					clamped++
-				}
-				if v != ov {
-					changed = true
 				}
 				row[k] = v
 				sum += v
@@ -922,32 +814,20 @@ func (p *Problem) gradUpdateGeneralShard(sc *scratch, s int) {
 			if sum > 1 {
 				inv := 1 / sum
 				for k := 0; k < last; k++ {
-					nv := row[k] * inv
-					if nv != row[k] {
-						changed = true
-					}
-					row[k] = nv
+					row[k] *= inv
 				}
 				sum = 1
 			}
-			nv := 1 - sum
-			if nv != row[last] {
-				changed = true
-			}
-			row[last] = nv
+			row[last] = 1 - sum
 		} else {
 			for k := 0; k < K; k++ {
-				ov := row[k]
-				v := ov - step*g[k]
+				v := row[k] - step*g[k]
 				if v < 0 {
 					v = 0
 					clamped++
 				} else if v > 1 {
 					v = 1
 					clamped++
-				}
-				if v != ov {
-					changed = true
 				}
 				row[k] = v
 			}
@@ -959,17 +839,12 @@ func (p *Problem) gradUpdateGeneralShard(sc *scratch, s int) {
 			}
 			if sum > 0 {
 				for k := range row {
-					nv := row[k] / sum
-					if nv != row[k] {
-						changed = true
-					}
-					row[k] = nv
+					row[k] /= sum
 				}
 			}
 		}
 	}
 	sc.clamp[s] = clamped
-	sc.dirtyGate[s] = changed
 	if sc.wantNorm {
 		sc.partNorm[s] = normSum
 	}
@@ -999,7 +874,6 @@ func (p *Problem) gradUpdateFastShard(sc *scratch, s int) {
 	step, mom := sc.step, sc.mom
 	lo, hi := pool.ShardRange(p.G, gateChunk, s)
 	clamped := 0
-	changed := false
 	var normSum float64
 	for i := lo; i < hi; i++ {
 		base := i * K
@@ -1025,9 +899,6 @@ func (p *Problem) gradUpdateFastShard(sc *scratch, s int) {
 					v = 1
 					clamped++
 				}
-				if v != row[k] {
-					changed = true
-				}
 				row[k] = v
 			}
 			continue
@@ -1046,14 +917,10 @@ func (p *Problem) gradUpdateFastShard(sc *scratch, s int) {
 				v = 1
 				clamped++
 			}
-			if v != row[k] {
-				changed = true
-			}
 			row[k] = v
 		}
 	}
 	sc.clamp[s] = clamped
-	sc.dirtyGate[s] = changed
 	if traced {
 		sc.partNorm[s] = normSum
 	}

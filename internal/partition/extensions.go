@@ -5,19 +5,6 @@ import (
 	"sort"
 )
 
-// SolveBest runs Solve with `restarts` different seeds (opts.Seed,
-// opts.Seed+1, …) and returns the result with the lowest discrete cost —
-// the natural extension of Algorithm 1's random initialization. It is the
-// serial shorthand for SolvePortfolio; use that directly for concurrent
-// restarts, per-seed summaries, or cancellation.
-func (p *Problem) SolveBest(opts Options, restarts int) (*Result, error) {
-	pf, err := p.SolvePortfolio(context.Background(), opts, PortfolioOptions{Restarts: restarts, Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return pf.Best, nil
-}
-
 // BalancedAssign snaps a relaxed matrix to a discrete assignment under a
 // per-plane bias capacity, instead of the plain per-gate argmax of
 // Algorithm 1 (lines 27–30). Gates are processed in decreasing confidence

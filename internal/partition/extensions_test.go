@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-func TestSolveBestPicksLowestCost(t *testing.T) {
-	p := randProblem(t, 60, 4, 100, 21)
-	opts := Options{Seed: 1, MaxIters: 400}
-	best, err := p.SolveBest(opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// best must be no worse than each individual restart.
-	for r := 0; r < 4; r++ {
-		o := opts
-		o.Seed = 1 + int64(r)
-		res, err := p.Solve(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best.Discrete.Total > res.Discrete.Total+1e-12 {
-			t.Errorf("restart %d beat SolveBest: %g < %g", r, res.Discrete.Total, best.Discrete.Total)
-		}
-	}
-}
-
-func TestSolveBestValidation(t *testing.T) {
-	p := randProblem(t, 10, 2, 15, 22)
-	if _, err := p.SolveBest(Options{}, 0); err == nil {
-		t.Error("zero restarts accepted")
-	}
-}
-
 func TestBalancedAssignRespectsCapacity(t *testing.T) {
 	p := randProblem(t, 100, 5, 180, 23)
 	res, err := p.Solve(Options{Seed: 1, MaxIters: 400})

@@ -86,21 +86,12 @@ func (o Options) Fingerprint() (string, error) {
 	t(n.ReduceDims)
 	t(n.Refine)
 	i(int64(n.RefinePasses))
-	// The precision tier changes the trajectory, so it must fold into the
-	// identity — but only when non-default: appending unconditionally
-	// would rewrite every existing float64 fingerprint (and orphan every
-	// stored checkpoint and cache entry) for a field those solves never
-	// used.
-	if n.Precision != Precision64 {
-		b = append(b, "|precision="...)
-		b = strconv.AppendInt(b, int64(n.Precision), 10)
-	}
 	// Regime terms surviving normalization (f1–f4 fold into the Coeffs
 	// fields above) change the compiled problem, so they are part of the
-	// identity. Conditional for the same reason as Precision: the empty
-	// list must keep every pre-terms fingerprint, checkpoint, and cache
-	// entry valid. Normalization sorts the list, so spelling order cannot
-	// split the cache.
+	// identity. Appended only when present: the empty list must keep every
+	// pre-terms fingerprint, checkpoint, and cache entry valid.
+	// Normalization sorts the list, so spelling order cannot split the
+	// cache.
 	for _, t := range n.Terms {
 		b = append(b, "|term="...)
 		b = append(b, t.Name...)

@@ -7,20 +7,33 @@ import (
 	"testing"
 )
 
+// TestSolvePortfolioMatchesSerialBest races the portfolio on every CPU
+// against a plain serial loop of Solve over the same seeds: the lowest
+// discrete cost wins, and the lowest seed wins ties.
 func TestSolvePortfolioMatchesSerialBest(t *testing.T) {
 	p := randProblem(t, 60, 4, 110, 21)
 	opts := Options{Seed: 5, MaxIters: 120}
 	const restarts = 6
-	want, err := p.SolveBest(opts, restarts)
-	if err != nil {
-		t.Fatal(err)
+	var want *Result
+	var wantSeed int64
+	for r := 0; r < restarts; r++ {
+		o := opts
+		o.Seed = opts.Seed + int64(r)
+		res, err := p.Solve(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil || res.Discrete.Total < want.Discrete.Total {
+			want, wantSeed = res, o.Seed
+		}
 	}
 	pf, err := p.SolvePortfolio(context.Background(), opts, PortfolioOptions{Restarts: restarts, Workers: runtime.NumCPU()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.Best.Discrete.Total != want.Discrete.Total {
-		t.Errorf("portfolio best %g != serial best %g", pf.Best.Discrete.Total, want.Discrete.Total)
+	if pf.BestSeed != wantSeed || pf.Best.Discrete.Total != want.Discrete.Total {
+		t.Errorf("portfolio best seed %d cost %g, serial best seed %d cost %g",
+			pf.BestSeed, pf.Best.Discrete.Total, wantSeed, want.Discrete.Total)
 	}
 	for i := range want.Labels {
 		if pf.Best.Labels[i] != want.Labels[i] {

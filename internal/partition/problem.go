@@ -20,7 +20,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gpp/internal/netlist"
 )
@@ -81,15 +80,6 @@ type Problem struct {
 	// branching on the (unpredictable) sign — t·(−1) is exactly −t and
 	// t·(+1) is exactly t in IEEE 754, so the branchless form is bitwise
 	// identical to the historical negate-and-add.
-
-	// Shard-adjacency lists for the incremental descent tier, built lazily
-	// on first use (see incremental.go): adjEdgeGate[es] lists the gate
-	// shards owning either endpoint of an edge in edge shard es, and
-	// adjGateEdge[gs] lists the edge shards incident to any gate of gate
-	// shard gs. Memoization only — the Problem stays logically immutable.
-	adjOnce     sync.Once
-	adjEdgeGate [][]int32
-	adjGateEdge [][]int32
 }
 
 // NewProblem validates and precomputes a partitioning instance.

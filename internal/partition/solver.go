@@ -10,30 +10,6 @@ import (
 	"gpp/internal/pool"
 )
 
-// Precision selects the arithmetic tier of the descent kernels (see
-// Options.Precision).
-type Precision int
-
-const (
-	// Precision64 is the default full-float64 kernel.
-	Precision64 Precision = iota
-	// Precision32 stores W (and the momentum velocity) as float32 in a
-	// structure-of-arrays layout while accumulating every reduction in
-	// float64.
-	Precision32
-)
-
-func (p Precision) String() string {
-	switch p {
-	case Precision64:
-		return "float64"
-	case Precision32:
-		return "float32"
-	default:
-		return fmt.Sprintf("Precision(%d)", int(p))
-	}
-}
-
 // Options configures the gradient-descent solver (Algorithm 1).
 type Options struct {
 	// Coeffs are the c1..c4 constants of Eq. 8. Zero value means
@@ -116,32 +92,6 @@ type Options struct {
 	// identical results — Workers is purely a speed knob. Negative values
 	// are a validation error.
 	Workers int
-
-	// Precision selects the arithmetic tier the descent kernels run in.
-	// The default, Precision64, is the full float64 kernel whose results
-	// are pinned by the golden parity tests. Precision32 is an opt-in
-	// speed/memory tier: the assignment matrix (and momentum velocity) are
-	// stored as float32 in a cache-blocked structure-of-arrays layout and
-	// every reduction still accumulates in float64, so results stay
-	// deterministic and bitwise reproducible at every Workers count — but
-	// they are NOT bitwise equal to the float64 tier (each w entry is
-	// rounded to float32 once per update). Because the trajectories
-	// genuinely differ, Precision is folded into Fingerprint, giving
-	// float32 results distinct checkpoint identities and cache keys. The
-	// float32 tier supports the default exact-gradient clamped update
-	// (momentum included); the ablation paths (GradientPaper, ReduceDims,
-	// Renormalize) are float64-only and rejected by validation.
-	Precision Precision
-
-	// NoIncremental disables the incremental cost-evaluation tier: the
-	// descent then full-sweeps every shard on every iteration instead of
-	// reusing the stored partials of shards the previous update provably
-	// did not touch (see DESIGN.md §15). The incremental path is bitwise
-	// identical to the full-sweep path by construction — this knob exists
-	// for verification (the parity fuzz drives it) and benchmarking, and
-	// like Workers it is execution-only: excluded from Fingerprint, never
-	// changes a result.
-	NoIncremental bool
 
 	// Refine, if true, runs the greedy move-based refinement pass on the
 	// discrete assignment after descent (see Refine). Off by default: the
@@ -250,12 +200,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("partition: refine passes %d must be ≥ 0 (0 = default)", o.RefinePasses)
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("partition: checkpoint interval %d must be ≥ 0 (0 = default)", o.CheckpointEvery)
-	case o.Precision != Precision64 && o.Precision != Precision32:
-		return fmt.Errorf("partition: unknown precision %d (want Precision64 or Precision32)", o.Precision)
-	case o.Precision == Precision32 && o.Gradient != GradientExact:
-		return fmt.Errorf("partition: the float32 tier supports exact gradients only")
-	case o.Precision == Precision32 && (o.ReduceDims || o.Renormalize):
-		return fmt.Errorf("partition: ReduceDims/Renormalize are float64-only (the float32 tier runs the default clamped update)")
 	}
 	return validateTermSpecs(o.Terms)
 }
@@ -361,9 +305,6 @@ func (p *Problem) SolveCtx(ctx context.Context, opts Options) (*Result, error) {
 	if err := p.checkResume(opts.Resume, opts); err != nil {
 		return nil, err
 	}
-	if opts.Precision == Precision32 {
-		return p.solve32(ctx, opts, workers, ckptFP)
-	}
 	tracer := opts.Tracer
 	// One persistent worker group per solve: the descent loop dispatches
 	// ~4 shard kernels per iteration, and reusing parked workers turns each
@@ -461,11 +402,7 @@ func (p *Problem) SolveCtx(ctx context.Context, opts Options) (*Result, error) {
 		}
 		// Lines 13 and 17–19, fused: one set of global reductions (labels,
 		// per-plane sums, per-edge cubes) yields cost_new and everything
-		// the gradient pass below needs (see DESIGN.md §10). The planner
-		// arms the incremental skip masks when the previous update left
-		// shards provably untouched (DESIGN.md §15); the first iteration
-		// of a (possibly resumed) loop always full-sweeps.
-		p.planIncremental(sc, !opts.NoIncremental, iter > startIter)
+		// the gradient pass below needs (see DESIGN.md §10).
 		bd := p.evalIter(w, opts.Coeffs, opts.Gradient, sc)
 		costNew := bd.Total
 		if opts.TraceCost {
@@ -494,8 +431,7 @@ func (p *Problem) SolveCtx(ctx context.Context, opts Options) (*Result, error) {
 
 		// Lines 17–24: the fused gradient+update pass (momentum, step,
 		// clamp, optional renormalize/dimension reduction), which also
-		// leaves the per-shard Σg² partials, clamp counts, and the dirty
-		// flags the next iteration's planner reads.
+		// leaves the per-shard Σg² partials and clamp counts.
 		p.gradUpdate(sc)
 		res.Iters = iter + 1
 		if tracer != nil {
@@ -564,10 +500,10 @@ func (p *Problem) randomInitW(w W, seed int64) {
 	}
 }
 
-// finalizeSolve is the precision-independent tail of a solve: snap to the
-// discrete assignment, optionally refine, fill the discrete cost, emit the
-// trailing telemetry, and bump the metrics. res.W, res.Iters, res.Converged
-// and the trace must already be final.
+// finalizeSolve is the tail of a solve: snap to the discrete assignment,
+// optionally refine, fill the discrete cost, emit the trailing telemetry,
+// and bump the metrics. res.W, res.Iters, res.Converged and the trace must
+// already be final.
 func (p *Problem) finalizeSolve(res *Result, relaxed Breakdown, opts Options,
 	tracer obs.Tracer, descent *obs.Span) (*Result, error) {
 	res.Relaxed = relaxed

@@ -21,6 +21,52 @@ func restartServer(t *testing.T, cfg Config) (*Server, string) {
 	return newTestServer(t, cfg)
 }
 
+// forgeJournal writes the on-disk state a crashed daemon leaves behind,
+// with the store primitives the daemon uses: the KSA8 circuit blob plus
+// recs, appended in order to the journal. An accept record without Data
+// gets a K = 4 job on that circuit with opts. It returns the journal path.
+func forgeJournal(t *testing.T, dir string, opts *JobOptions, recs ...store.Record) string {
+	t.Helper()
+	circuit, err := gen.Benchmark("KSA8", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circJSON, err := json.Marshal(circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobKey, err := st.Blobs.Put(circJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, err := store.OpenJournal(st.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Op == "accept" && rec.Data == nil {
+			rec.Data, err = json.Marshal(&journaledJob{
+				ID: rec.ID, CircuitBlob: blobKey, CircuitName: circuit.Name,
+				K: 4, Options: opts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return st.JournalPath()
+}
+
 func TestDurableCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 2, QueueDepth: 8, DataDir: dir}
@@ -64,50 +110,13 @@ func TestDurableJournalReplaysUnfinishedJob(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, QueueDepth: 8, DataDir: dir}
 
-	// Forge the on-disk state a crashed daemon leaves behind: the circuit
-	// blob plus an accepted-but-unfinished job in the journal, written with
-	// the same store primitives the daemon uses.
-	circuit, err := gen.Benchmark("KSA8", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	circJSON, err := json.Marshal(circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobKey, err := st.Blobs.Put(circJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jnl, _, err := store.OpenJournal(st.JournalPath())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// An accepted-but-unfinished job, plus a second job already marked
+	// done, which must NOT replay.
 	const jobID = "deadbeef00000001"
-	data, err := json.Marshal(&journaledJob{
-		ID: jobID, CircuitBlob: blobKey, CircuitName: circuit.Name,
-		K: 4, Options: &JobOptions{Seed: 4002, MaxIters: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jnl.Append(store.Record{Op: "accept", ID: jobID, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	// A second job already marked done must NOT replay.
-	if _, err := jnl.Append(store.Record{Op: "accept", ID: "deadbeef00000002", Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jnl.Append(store.Record{Op: "done", ID: "deadbeef00000002"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	forgeJournal(t, dir, &JobOptions{Seed: 4002, MaxIters: 300},
+		store.Record{Op: "accept", ID: jobID},
+		store.Record{Op: "accept", ID: "deadbeef00000002"},
+		store.Record{Op: "done", ID: "deadbeef00000002"})
 
 	recovered0 := mJobsRecovered.Value()
 	_, base := newTestServer(t, cfg)
@@ -134,6 +143,37 @@ func TestDurableJournalReplaysUnfinishedJob(t *testing.T) {
 	fresh := getBody(t, base, "/v1/jobs/"+sb2.ID+"/result", http.StatusOK)
 	if string(replayed) != string(fresh) {
 		t.Fatalf("replayed result differs from fresh solve")
+	}
+}
+
+// TestDurableJournalFailsRemovedPrecision: a float32 job accepted before
+// the float32 tier was removed replays to exactly one failed terminal
+// record — no panic, no solve, and not a float64 run under its key.
+func TestDurableJournalFailsRemovedPrecision(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 8, DataDir: dir}
+	const jobID = "deadbeef00000004"
+	path := forgeJournal(t, dir, &JobOptions{Seed: 4006, MaxIters: 300, Precision: "float32"},
+		store.Record{Op: "accept", ID: jobID})
+
+	r0 := mJobsRecovered.Value()
+	s, base := newTestServer(t, cfg)
+	if got := mJobsRecovered.Value() - r0; got != 0 {
+		t.Fatalf("recovered %v jobs at boot, want 0", got)
+	}
+	getBody(t, base, "/v1/jobs/"+jobID, http.StatusNotFound)
+	if sub, done := s.stats.submitted.Load(), s.stats.completed.Load(); sub != 0 || done != 0 {
+		t.Fatalf("daemon submitted %d and completed %d jobs, want none", sub, done)
+	}
+	shutdownNow(t, s)
+
+	jnl, recs, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	if len(recs) != 2 || recs[0].Op != "accept" || recs[1].Op != string(StatusFailed) || recs[1].ID != jobID {
+		t.Fatalf("journal after boot = %+v, want accept then failed of %s", recs, jobID)
 	}
 }
 
@@ -203,41 +243,9 @@ func TestDurableBootOnTornJournal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, QueueDepth: 8, DataDir: dir}
 
-	circuit, err := gen.Benchmark("KSA8", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	circJSON, err := json.Marshal(circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobKey, err := st.Blobs.Put(circJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := st.JournalPath()
-	jnl, _, err := store.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const jobID = "deadbeef00000003"
-	data, err := json.Marshal(&journaledJob{
-		ID: jobID, CircuitBlob: blobKey, CircuitName: circuit.Name,
-		K: 4, Options: &JobOptions{Seed: 4005, MaxIters: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jnl.Append(store.Record{Op: "accept", ID: jobID, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := forgeJournal(t, dir, &JobOptions{Seed: 4005, MaxIters: 300},
+		store.Record{Op: "accept", ID: jobID})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)

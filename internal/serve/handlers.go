@@ -111,12 +111,12 @@ type JobOptions struct {
 	RefinePasses  int      `json:"refine_passes,omitempty"`
 	Workers       int      `json:"workers,omitempty"`
 
-	// Precision selects the kernel arithmetic tier: "" or "float64" is the
-	// default kernel, "float32" the opt-in reduced-precision tier. The
-	// tiers produce different (individually deterministic) results, and
-	// the solver folds the tier into its fingerprint, so float32 jobs get
-	// distinct cache keys automatically. Unknown values are rejected by
-	// the solver's validation.
+	// Precision is validated, never used: the solver runs float64 only.
+	// "" and "float64" are accepted (and share one cache key); anything
+	// else, "float32" included, is a 400 — the float32 tier was removed,
+	// and silently running a float32 request in float64 would return
+	// bytes the client did not ask for. Journaled float32 jobs accepted
+	// before the removal replay to a failed job the same way.
 	Precision string `json:"precision,omitempty"`
 
 	// Terms selects named cost terms from the registry (internal/terms),
@@ -153,7 +153,7 @@ func (m *MultilevelJob) toOptions(k int) multilevel.Options {
 // the default for an absent momentum: MomentumAuto for a flat descent,
 // plain steps for the V-cycle. An explicit momentum outside [0, 1) is an
 // error naming the value — MomentumAuto's own value included, which only
-// an absent field selects.
+// an absent field selects — and so is any precision but float64.
 func (o *JobOptions) toPartition(flat bool) (partition.Options, error) {
 	if o == nil {
 		o = &JobOptions{}
@@ -174,15 +174,8 @@ func (o *JobOptions) toPartition(flat bool) (partition.Options, error) {
 	if o.PaperGradient {
 		p.Gradient = partition.GradientPaper
 	}
-	switch o.Precision {
-	case "float32":
-		p.Precision = partition.Precision32
-	case "", "float64":
-		// Default tier.
-	default:
-		// Map unknown strings onto an invalid Precision so the solver's
-		// validation reports them instead of silently running float64.
-		p.Precision = partition.Precision(-1)
+	if o.Precision != "" && o.Precision != "float64" {
+		return partition.Options{}, fmt.Errorf("precision %q is not supported: the float32 tier was removed; omit the field or use \"float64\"", o.Precision)
 	}
 	switch {
 	case o.Momentum != nil:

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -74,22 +73,12 @@ func TestMomentumCacheKeys(t *testing.T) {
 // MomentumAuto's value (-1) included, which only an absent field selects.
 func TestMomentumOutOfRangeRejected(t *testing.T) {
 	_, base := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	post := func(path, body string) (int, string) {
-		t.Helper()
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(raw)
-	}
 	for _, m := range []string{"-1", "1", "1.5", "-0.25"} {
-		code, msg := post("/v1/jobs", `{"circuit":"KSA8","k":4,"options":{"momentum":`+m+`}}`)
+		code, msg := postError(t, base, "/v1/jobs", `{"circuit":"KSA8","k":4,"options":{"momentum":`+m+`}}`)
 		if code != http.StatusBadRequest || !strings.Contains(msg, "momentum "+m+" ") {
 			t.Errorf("job momentum %s: %d %s, want 400 naming the value", m, code, msg)
 		}
-		code, msg = post("/v1/sweeps", `{"circuit":"KSA4","spec":{"ks":[3]},"options":{"momentum":`+m+`}}`)
+		code, msg = postError(t, base, "/v1/sweeps", `{"circuit":"KSA4","spec":{"ks":[3]},"options":{"momentum":`+m+`}}`)
 		if code != http.StatusBadRequest || !strings.Contains(msg, "momentum "+m+" ") {
 			t.Errorf("sweep momentum %s: %d %s, want 400 naming the value", m, code, msg)
 		}

@@ -62,6 +62,22 @@ func postJob(t *testing.T, base string, req JobRequest) (int, statusBody, http.H
 	return resp.StatusCode, sb, resp.Header
 }
 
+// postError posts a raw JSON body to path and returns the status code and
+// the response's "error" message (empty on success).
+func postError(t *testing.T, base, path, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, e.Error
+}
+
 func getStatus(t *testing.T, base, id string) statusBody {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
@@ -653,11 +669,10 @@ func TestDrainingRejectsSubmissions(t *testing.T) {
 	}
 }
 
-// TestPrecisionJobTier covers the precision knob end to end: a float32 job
-// solves, its cache key differs from the same job at the default tier
-// (distinct trajectories must never share a cache entry), spelling the
-// default as "float64" shares the default key, and an unknown tier is a
-// 400 from validation rather than a silent float64 run.
+// TestPrecisionJobTier: the solver runs float64 only. An absent precision
+// and the explicit "float64" spelling share one cache key, and "float32"
+// or any other value is a 400 naming the value — on jobs and on sweeps —
+// instead of a float64 result served for a float32 request.
 func TestPrecisionJobTier(t *testing.T) {
 	_, base := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 
@@ -667,24 +682,28 @@ func TestPrecisionJobTier(t *testing.T) {
 		}}
 	}
 	_, def, _ := postJob(t, base, req(""))
-	waitTerminal(t, base, def.ID)
-	_, f32, _ := postJob(t, base, req("float32"))
-	if f32.Key == def.Key {
-		t.Fatalf("float32 job shares the float64 cache key %s", def.Key)
+	if done := waitTerminal(t, base, def.ID); done.Status != StatusDone {
+		t.Fatalf("default job ended %s (%s), want done", done.Status, done.Error)
 	}
-	done := waitTerminal(t, base, f32.ID)
-	if done.Status != StatusDone {
-		t.Fatalf("float32 job ended %s (%s), want done", done.Status, done.Error)
+	code, f64, _ := postJob(t, base, req("float64"))
+	if f64.Key != def.Key {
+		t.Fatalf("explicit float64 spelling got its own key:\n %s\n %s", f64.Key, def.Key)
 	}
-	code, f64sp, _ := postJob(t, base, req("float64"))
-	if f64sp.Key != def.Key {
-		t.Fatalf("explicit float64 spelling got its own key:\n %s\n %s", f64sp.Key, def.Key)
+	if code != http.StatusOK || f64.Cache != "hit" {
+		t.Fatalf("explicit float64 spelling: code=%d cache=%q, want 200/hit", code, f64.Cache)
 	}
-	if code != http.StatusOK || f64sp.Cache != "hit" {
-		t.Fatalf("explicit float64 spelling: code=%d cache=%q, want 200/hit", code, f64sp.Cache)
-	}
-	code, _, raw := postJob(t, base, req("float16"))
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown precision accepted: code=%d body=%s", code, raw)
+
+	for _, prec := range []string{"float32", "float16", "FLOAT64"} {
+		opts := `"options":{"max_iters":200,"precision":"` + prec + `"}`
+		for path, body := range map[string]string{
+			"/v1/jobs":   `{"circuit":"KSA8","k":3,` + opts + `}`,
+			"/v1/sweeps": `{"circuit":"KSA4","spec":{"ks":[3]},` + opts + `}`,
+		} {
+			code, msg := postError(t, base, path, body)
+			if code != http.StatusBadRequest || !strings.Contains(msg, `precision "`+prec+`"`) ||
+				!strings.Contains(msg, "float32 tier was removed") {
+				t.Errorf("%s precision %s: %d %q, want 400 naming the value and the removal", path, prec, code, msg)
+			}
+		}
 	}
 }

@@ -19,8 +19,7 @@ import (
 // The registry's acceptance bar: the default term set — f1..f4 spelled
 // explicitly — must compile to *exactly* the historical kernel path. These
 // tests prove it against the same pre-PR-9 golden hashes the partition
-// package pins, across worker counts, the float32 tier, and the multilevel
-// V-cycle.
+// package pins, across worker counts and through the multilevel V-cycle.
 
 // defaultSet spells the paper objective through the registry instead of
 // relying on the empty-Terms fast path: the weights must fold away into
@@ -120,47 +119,6 @@ func TestRegistryDefaultSetGoldenParity(t *testing.T) {
 				if got := parityHash(res); got != want {
 					t.Fatalf("workers=%d: registry default set diverged from golden:\n got %s\nwant %s",
 						workers, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestRegistryDefaultSetFloat32Parity: the same claim on the opt-in
-// reduced-precision tier, where no goldens are recorded — the registry
-// path must match the direct FromCircuit path bit for bit.
-func TestRegistryDefaultSetFloat32Parity(t *testing.T) {
-	for _, circuit := range []string{"KSA16", "C499"} {
-		circuit := circuit
-		t.Run(circuit, func(t *testing.T) {
-			c, err := gen.Benchmark(circuit, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := partition.Options{MaxIters: 120, Precision: partition.Precision32}
-			legacy, err := partition.FromCircuit(c, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := legacy.Solve(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := parityHash(res)
-			opts.Terms = defaultSet()
-			p, n, err := terms.BuildProblem(c, 5, opts, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range parityWorkers() {
-				o := n
-				o.Workers = workers
-				res, err := p.Solve(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := parityHash(res); got != want {
-					t.Fatalf("float32 workers=%d: registry path diverged from FromCircuit path", workers)
 				}
 			}
 		})
