@@ -29,10 +29,15 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
+# The benchmark (perfbench/) is its own module, outside the root ./...,
+# so check vets and tests it separately: an API change in serve,
+# partition or terms must not break its build unnoticed.
 check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 	$(GO) test -short -race ./...
+	$(GO) -C perfbench test ./...
 	$(GO) test -run xxx -bench 'SolveTrace|JSONLEmit' -benchtime 1x ./internal/partition ./internal/obs
 	$(MAKE) bench-smoke
 	$(MAKE) obs-smoke

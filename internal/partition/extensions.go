@@ -46,33 +46,25 @@ func (p *Problem) BalancedAssign(w W, capacitySlack float64) []int {
 	for _, cd := range cands {
 		i := cd.gate
 		row := w[i*p.K : (i+1)*p.K]
-		// Plane preference order by descending w.
-		order := make([]int, p.K)
-		for k := range order {
-			order[k] = k
-		}
-		sort.SliceStable(order, func(a, b int) bool { return row[order[a]] > row[order[b]] })
-		placed := false
-		for _, k := range order {
-			if load[k]+p.Bias[i] <= capacity {
-				labels[i] = k
-				load[k] += p.Bias[i]
-				placed = true
-				break
+		// The highest-w plane with room, ties to the lower plane.
+		pick := -1
+		for k := 0; k < p.K; k++ {
+			if load[k]+p.Bias[i] <= capacity && (pick < 0 || row[k] > row[pick]) {
+				pick = k
 			}
 		}
-		if !placed {
+		if pick < 0 {
 			// Every plane is at capacity (possible when one gate's bias
 			// exceeds the slack); take the least-loaded plane.
-			min := 0
+			pick = 0
 			for k := 1; k < p.K; k++ {
-				if load[k] < load[min] {
-					min = k
+				if load[k] < load[pick] {
+					pick = k
 				}
 			}
-			labels[i] = min
-			load[min] += p.Bias[i]
 		}
+		labels[i] = pick
+		load[pick] += p.Bias[i]
 	}
 	return labels
 }

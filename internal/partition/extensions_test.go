@@ -3,7 +3,10 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"gpp/internal/gen"
 )
 
 func TestBalancedAssignRespectsCapacity(t *testing.T) {
@@ -91,6 +94,105 @@ func TestBalancedAssignOverfullFallback(t *testing.T) {
 		if labels[i] == giant {
 			t.Errorf("small gate %d sharing the giant's plane despite capacity", i)
 		}
+	}
+}
+
+// balancedAssignSorted is BalancedAssign as it was written with a fresh
+// sort.SliceStable per gate: the reference for the plane preference order.
+func balancedAssignSorted(p *Problem, w W, capacitySlack float64) []int {
+	capacity := p.MeanBias * (1 + math.Max(capacitySlack, 0))
+	type cand struct {
+		gate int
+		gap  float64
+	}
+	cands := make([]cand, p.G)
+	for i := 0; i < p.G; i++ {
+		best, second := -1.0, -1.0
+		for _, v := range w[i*p.K : (i+1)*p.K] {
+			if v > best {
+				best, second = v, best
+			} else if v > second {
+				second = v
+			}
+		}
+		cands[i] = cand{gate: i, gap: best - second}
+	}
+	sort.SliceStable(cands, func(a, b int) bool { return cands[a].gap > cands[b].gap })
+	labels := make([]int, p.G)
+	load := make([]float64, p.K)
+	for _, cd := range cands {
+		i := cd.gate
+		row := w[i*p.K : (i+1)*p.K]
+		order := make([]int, p.K)
+		for k := range order {
+			order[k] = k
+		}
+		sort.SliceStable(order, func(a, b int) bool { return row[order[a]] > row[order[b]] })
+		placed := false
+		for _, k := range order {
+			if load[k]+p.Bias[i] <= capacity {
+				labels[i], placed = k, true
+				load[k] += p.Bias[i]
+				break
+			}
+		}
+		if !placed {
+			min := 0
+			for k := 1; k < p.K; k++ {
+				if load[k] < load[min] {
+					min = k
+				}
+			}
+			labels[i] = min
+			load[min] += p.Bias[i]
+		}
+	}
+	return labels
+}
+
+// TestBalancedAssignMatchesSortedOrder: picking the highest-w plane with
+// room in one scan gives bitwise the labels of the per-gate
+// sort.SliceStable preference order on C3540 at K = 8, for a seeded
+// continuous W and for one quantized to four levels, whose rows tie often
+// and so exercise the stable tie order.
+func TestBalancedAssignMatchesSortedOrder(t *testing.T) {
+	c, err := gen.Benchmark("C3540", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := FromCircuit(c, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smooth := randW(p, 5)
+	ties := p.NewW()
+	rng := rand.New(rand.NewSource(6))
+	for i := range ties {
+		ties[i] = float64(rng.Intn(4)) / 3
+	}
+	for name, w := range map[string]W{"seeded": smooth, "ties": ties} {
+		for _, slack := range []float64{0, 0.05, 0.5} {
+			got, want := p.BalancedAssign(w, slack), balancedAssignSorted(p, w, slack)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s W, slack %g: gate %d on plane %d, sorted order puts it on %d", name, slack, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBalancedAssignAllocsFlat: BalancedAssign allocates a fixed number of
+// buffers per call, not per gate.
+func TestBalancedAssignAllocsFlat(t *testing.T) {
+	allocs := func(g int) float64 {
+		p := randProblem(t, g, 8, 2*g, 27)
+		w := randW(p, 7)
+		return testing.AllocsPerRun(5, func() { p.BalancedAssign(w, 0.05) })
+	}
+	small, large := allocs(50), allocs(4000)
+	if large != small || large > 10 {
+		t.Fatalf("BalancedAssign allocates %g times at G = 4000 and %g at G = 50, want the same few", large, small)
 	}
 }
 

@@ -265,7 +265,7 @@ func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
 // grantSteal journals the handoff and builds the grant document for a job
 // already popped from the queue.
 func (s *Server) grantSteal(j *job, thief string) ([]byte, error) {
-	circJSON, err := json.Marshal(j.circuit)
+	circJSON, err := json.Marshal(j.ref.circuit)
 	if err != nil {
 		return nil, fmt.Errorf("serve: marshal stolen circuit: %w", err)
 	}
@@ -454,7 +454,7 @@ func (s *Server) runStolen(owner string, raw []byte) {
 	if g.RemainingMS > 0 {
 		req.TimeoutMS = g.RemainingMS
 	}
-	j, _, err := s.makeJob(&c, g.CircuitName, &req)
+	j, _, err := s.makeJob(newCircuitRef(&c), g.CircuitName, &req)
 	if err != nil {
 		s.completeStolen(owner, g.ID, nil, err)
 		return

@@ -151,7 +151,7 @@ func (d *durable) loadCircuit(jj *journaledJob) (*netlist.Circuit, error) {
 // journal. Called before the 202 is written; an error here fails the
 // submission rather than accepting a job that could not be made durable.
 func (d *durable) acceptJob(j *job, req *JobRequest) error {
-	circJSON, err := json.Marshal(j.circuit)
+	circJSON, err := json.Marshal(j.ref.circuit)
 	if err != nil {
 		return fmt.Errorf("serve: journal circuit: %w", err)
 	}

@@ -13,9 +13,7 @@ import (
 
 	"gpp/internal/assignio"
 	"gpp/internal/def"
-	"gpp/internal/gen"
 	"gpp/internal/multilevel"
-	"gpp/internal/netlist"
 	"gpp/internal/obs"
 	"gpp/internal/partition"
 )
@@ -279,7 +277,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // returned int is the HTTP status for the error case.
 func (s *Server) buildJob(req *JobRequest) (*job, int, error) {
 	var (
-		c    *netlist.Circuit
+		ref  *circuitRef
 		name string
 	)
 	sources := 0
@@ -294,35 +292,36 @@ func (s *Server) buildJob(req *JobRequest) (*job, int, error) {
 	}
 	switch {
 	case req.Circuit != "":
-		bc, err := gen.Benchmark(req.Circuit, nil)
+		r, err := s.memo.get(req.Circuit)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		c, name = bc, bc.Name
+		ref, name = r, r.circuit.Name
 	case req.DEF != "":
 		d, err := def.Parse(strings.NewReader(req.DEF))
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		c, err = def.ToCircuit(d, s.cfg.Library)
+		c, err := def.ToCircuit(d, s.cfg.Library)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		name = c.Name
+		ref, name = newCircuitRef(c), c.Name
 	default:
 		prior, ok := s.store.get(req.FromJob)
 		if !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("from_job %q not found", req.FromJob)
 		}
-		c, name = prior.circuit, prior.circuitName
+		ref, name = prior.ref, prior.circuitName
 	}
-	return s.makeJob(c, name, req)
+	return s.makeJob(ref, name, req)
 }
 
 // makeJob validates the request against an already-resolved circuit and
-// assembles the job. It is the part of submission shared with journal
-// recovery, which re-runs it against the blob-stored circuit.
-func (s *Server) makeJob(c *netlist.Circuit, name string, req *JobRequest) (*job, int, error) {
+// assembles the job. It is the part of submission shared with sweeps,
+// journal recovery and steal grants; the ref's precomputed hashes make
+// the job's circuit_hash a copy and its cache key a resumed hash.
+func (s *Server) makeJob(ref *circuitRef, name string, req *JobRequest) (*job, int, error) {
 	if req.K < 1 {
 		return nil, http.StatusBadRequest, fmt.Errorf("k must be ≥ 1, got %d", req.K)
 	}
@@ -356,7 +355,7 @@ func (s *Server) makeJob(c *netlist.Circuit, name string, req *JobRequest) (*job
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	key, err := jobKey(c, opts, req.K, restarts, req.BalancedSlack, ml, req.Plan)
+	key, err := ref.jobKey(opts, req.K, restarts, req.BalancedSlack, ml, req.Plan)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -375,9 +374,8 @@ func (s *Server) makeJob(c *netlist.Circuit, name string, req *JobRequest) (*job
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	j := &job{
 		id:          newJobID(),
-		circuit:     c,
+		ref:         ref,
 		circuitName: name,
-		circuitHash: CircuitHash(c),
 		key:         key,
 		k:           req.K,
 		restarts:    restarts,
@@ -429,9 +427,9 @@ func (s *Server) statusJSON(j *job) statusBody {
 		Status:      status,
 		Cache:       cache,
 		Circuit:     j.circuitName,
-		CircuitHash: j.circuitHash,
-		Gates:       j.circuit.NumGates(),
-		Edges:       j.circuit.NumEdges(),
+		CircuitHash: j.ref.hash,
+		Gates:       j.ref.circuit.NumGates(),
+		Edges:       j.ref.circuit.NumEdges(),
 		K:           j.k,
 		Key:         j.key,
 		Error:       errMsg,
@@ -566,7 +564,7 @@ func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
 	var buf bytes.Buffer
-	if err := assignio.Write(&buf, j.circuit, labels); err != nil {
+	if err := assignio.Write(&buf, j.ref.circuit, labels); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gpp/internal/multilevel"
-	"gpp/internal/netlist"
 	"gpp/internal/obs"
 	"gpp/internal/partition"
 )
@@ -48,9 +47,8 @@ const (
 // everything mutable sits behind mu.
 type job struct {
 	id          string
-	circuit     *netlist.Circuit
+	ref         *circuitRef // shared and read-only; see circuitMemo
 	circuitName string
-	circuitHash string
 	key         string
 	k           int
 	restarts    int

@@ -18,6 +18,10 @@
 //     bitwise deterministic at every Options.Workers count and Workers is
 //     excluded from the fingerprint, a cold solve at any worker count
 //     would produce those same bytes.
+//   - Shared circuits. A Table I benchmark is generated once per daemon
+//     and every job naming it shares the read-only result, with its
+//     content hashes precomputed (circuitMemo, circuitRef), so a cache hit
+//     costs admission only.
 //   - Per-job deadlines and cancellation. Every job carries a context
 //     whose timeout starts at submission (queue wait counts);
 //     DELETE /v1/jobs/{id} cancels it, and the solver stops within one

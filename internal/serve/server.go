@@ -27,6 +27,7 @@ type Server struct {
 	mux     *http.ServeMux
 	store   *jobStore
 	cache   *lru
+	memo    circuitMemo
 	durable *durable // nil unless Config.DataDir is set
 	queue   chan *job
 	stats   *serverStats
@@ -65,6 +66,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:    cfg,
 		store:  newJobStore(cfg.MaxJobs),
 		cache:  newLRU(cfg.CacheEntries),
+		memo:   newCircuitMemo(),
 		queue:  make(chan *job, cfg.QueueDepth),
 		stats:  newServerStats(),
 		sweeps: newSweepStore(),
@@ -117,7 +119,7 @@ func (s *Server) recoverJob(jj *journaledJob) {
 	c, err := s.durable.loadCircuit(jj)
 	if err == nil {
 		var j *job
-		j, _, err = s.makeJob(c, jj.CircuitName, &JobRequest{
+		j, _, err = s.makeJob(newCircuitRef(c), jj.CircuitName, &JobRequest{
 			K: jj.K, Restarts: jj.Restarts, BalancedSlack: jj.Balanced,
 			Multilevel: jj.Multilevel,
 			Plan:       jj.Plan, TimeoutMS: jj.TimeoutMS, Options: jj.Options,
@@ -436,7 +438,7 @@ func (s *Server) solve(j *job, span *obs.Span) (body []byte, labels []int, err e
 	// exactly partition.FromCircuit (the historical kernel path, bit for
 	// bit); regime terms rescale biases, drop/reweight edges, and attach
 	// the compiled plane-term tables before the solver ever runs.
-	p, opts, err := terms.BuildProblem(j.circuit, j.k, j.opts, s.cfg.Library)
+	p, opts, err := terms.BuildProblem(j.ref.circuit, j.k, j.opts, s.cfg.Library)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -514,7 +516,7 @@ func (s *Server) solve(j *job, span *obs.Span) (body []byte, labels []int, err e
 		env.CoarsestSize = mr.CoarsestSize
 	}
 	if j.plan {
-		pl, perr := recycle.BuildPlan(j.circuit, p, res.Labels, recycle.PlanOptions{Library: s.cfg.Library})
+		pl, perr := recycle.BuildPlan(j.ref.circuit, p, res.Labels, recycle.PlanOptions{Library: s.cfg.Library})
 		if perr != nil {
 			return nil, nil, perr
 		}

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"gpp/internal/def"
-	"gpp/internal/gen"
-	"gpp/internal/netlist"
 	"gpp/internal/obs"
 	"gpp/internal/partition"
 	"gpp/internal/sweep"
@@ -125,7 +123,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	c, name, err := s.resolveSweepCircuit(&req)
+	ref, name, err := s.resolveSweepCircuit(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -158,7 +156,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			K: cell.K, Restarts: req.Restarts, Plan: req.Plan,
 			TimeoutMS: timeout, Options: &jo,
 		}
-		j, _, err := s.makeJob(c, name, jreq)
+		j, _, err := s.makeJob(ref, name, jreq)
 		if err != nil {
 			// One invalid cell rejects the whole sweep at submit — the
 			// 400 carries the solver's message (unknown term names list
@@ -179,18 +177,18 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveSweepCircuit resolves the sweep's input circuit (benchmark name
-// or inline DEF; sweeps have no from_job — cells reference each other by
-// cache key already).
-func (s *Server) resolveSweepCircuit(req *SweepRequest) (*netlist.Circuit, string, error) {
+// through the circuit memo, or inline DEF; sweeps have no from_job — cells
+// reference each other by cache key already).
+func (s *Server) resolveSweepCircuit(req *SweepRequest) (*circuitRef, string, error) {
 	switch {
 	case req.Circuit != "" && req.DEF != "":
 		return nil, "", fmt.Errorf("exactly one of circuit, def must be set")
 	case req.Circuit != "":
-		c, err := gen.Benchmark(req.Circuit, nil)
+		ref, err := s.memo.get(req.Circuit)
 		if err != nil {
 			return nil, "", err
 		}
-		return c, c.Name, nil
+		return ref, ref.circuit.Name, nil
 	case req.DEF != "":
 		d, err := def.Parse(strings.NewReader(req.DEF))
 		if err != nil {
@@ -200,7 +198,7 @@ func (s *Server) resolveSweepCircuit(req *SweepRequest) (*netlist.Circuit, strin
 		if err != nil {
 			return nil, "", err
 		}
-		return c, c.Name, nil
+		return newCircuitRef(c), c.Name, nil
 	default:
 		return nil, "", fmt.Errorf("exactly one of circuit, def must be set")
 	}
