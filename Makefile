@@ -117,7 +117,14 @@ cluster-smoke:
 	CLUSTER_SMOKE_LOG_DIR=$(CLUSTER_SMOKE_LOG_DIR) \
 		$(GO) test -race -count=1 -run 'TestClusterSmoke$$' -v ./cmd/gpp-serve
 
-# Run the solver-options validation fuzzer for 30s (regular `make test`
-# already runs its seed corpus as a unit test).
+# Run every fuzz target for 30s each (regular `make test` already runs
+# their seed corpora as unit tests). go test -fuzz takes one target in one
+# package per run, hence one line per target.
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzSolveOptions -fuzztime 30s ./internal/partition
+	$(GO) test -run xxx -fuzz '^FuzzSolveOptions$$' -fuzztime 30s ./internal/partition
+	$(GO) test -run xxx -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/partition
+	$(GO) test -run xxx -fuzz '^FuzzVCycleSnapshotDecode$$' -fuzztime 30s ./internal/multilevel
+	$(GO) test -run xxx -fuzz '^FuzzTermWeightsFingerprint$$' -fuzztime 30s ./internal/terms
+	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/def
+	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/lef
+	$(GO) test -run xxx -fuzz '^FuzzJobRequest$$' -fuzztime 30s ./internal/serve

@@ -107,9 +107,7 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // NewHistogram returns a standalone histogram (not registered anywhere)
-// with the given sorted bucket upper bounds. The serve subsystem uses
-// these for per-server stats that must not leak across servers through
-// the process-wide registry.
+// with the given sorted bucket upper bounds.
 func NewHistogram(bounds []float64) *Histogram {
 	if !sort.Float64sAreSorted(bounds) {
 		panic("obs: histogram bounds not sorted")

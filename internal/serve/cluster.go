@@ -25,16 +25,16 @@ import (
 //     cached result land on the one node every identical request routes
 //     to. Transport errors and owner-side 5xx degrade to solving locally.
 //
-//   - Peer read-through (peerFetch): a worker that misses the local
-//     memory+disk cache consults the key's owner and replicas before
-//     solving, and persists a fetched blob locally so the hit is durable.
+//   - Peer read-through (peerFetch): resolve, on a miss in the local
+//     memory+disk cache, consults the key's owner and replicas before
+//     solving, and keeps a fetched blob locally so the hit is durable.
 //
 //   - Work stealing. handleClusterSteal pops a queued job, journals a
 //     handoff record (durable before the grant leaves the process), and
 //     hands the full job — circuit bytes inline — to the thief.
-//     stealLoop is the thief side: when idle it polls busy peers, solves
-//     a granted job privately (never entering its own job registry), and
-//     posts the result back (handleClusterComplete). reclaimLoop
+//     stealLoop is the thief side: when idle it polls busy peers, runs a
+//     granted job through resolve privately (never entering its own job
+//     registry), and posts the result back (handleClusterComplete). reclaimLoop
 //     re-enqueues stolen jobs whose lease expired — a dead thief delays
 //     a job by one lease, never loses it. claimFinish arbitrates the
 //     thief-returns-vs-reclaim race so exactly one completion is
@@ -105,7 +105,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *JobRe
 		return false
 	}
 	j.cancel()
-	mForwarded.Inc()
+	s.m.forwarded.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
@@ -119,10 +119,10 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *JobRe
 // --- peer cache read-through ---
 
 // peerFetch is the third cache tier: after a local memory+disk miss, ask
-// the key's owner and replicas. A fetched blob is persisted locally
+// the key's owner and replicas. resolve keeps a fetched blob locally
 // (memory LRU + blob store) so later lookups — including after a restart
 // — hit without touching the network again.
-func (s *Server) peerFetch(j *job) (*cacheEntry, bool) {
+func (s *Server) peerFetch(j *job) (*cacheBlob, bool) {
 	if s.cluster == nil {
 		return nil, false
 	}
@@ -142,13 +142,8 @@ func (s *Server) peerFetch(j *job) (*cacheEntry, bool) {
 	}
 	sp.Attr("outcome", "hit")
 	sp.Attr("from", from)
-	ent := &cacheEntry{key: j.key, body: cb.Body, labels: cb.Labels}
-	s.cache.put(ent)
-	if s.durable != nil {
-		s.durable.persistEntry(ent)
-	}
-	mPeerCacheHits.Inc()
-	return ent, true
+	s.m.peerCacheHits.Inc()
+	return &cb, true
 }
 
 // --- node-to-node endpoints ---
@@ -165,7 +160,7 @@ func (s *Server) handleClusterPing(w http.ResponseWriter, r *http.Request) {
 		Draining   bool   `json:"draining"`
 		QueueDepth int    `json:"queue_depth"`
 		Inflight   int64  `json:"inflight"`
-	}{s.cluster.Self(), s.Draining(), len(s.queue), s.stats.inflight.Load()})
+	}{s.cluster.Self(), s.Draining(), len(s.queue), int64(s.m.inflight.Value())})
 }
 
 // handleClusterBlob serves one result-cache entry (the cacheBlob
@@ -241,10 +236,10 @@ func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		mQueueDepth.Set(float64(len(s.queue)))
-		j.endQueueWait(s.stats)
-		if j.ctx.Err() != nil {
-			s.finishWithError(j, j.ctx.Err())
+		s.m.queueDepth.Set(float64(len(s.queue)))
+		j.endQueueWait(s.m.queueWait)
+		if err := j.ctx.Err(); err != nil {
+			s.finish(j, nil, false, err)
 			continue
 		}
 		grant, err := s.grantSteal(j, req.Thief)
@@ -288,12 +283,8 @@ func (s *Server) grantSteal(j *job, thief string) ([]byte, error) {
 		}
 	}
 	// The job resolved as a miss the moment it left for a thief (even a
-	// thief-side cache hit missed here); countMiss keeps a later reclaim
-	// from double-booking it.
-	if j.countMiss() {
-		mCacheMisses.Inc()
-		s.stats.cacheMiss.Add(1)
-	}
+	// thief-side cache hit missed here); a later reclaim re-run books none.
+	s.countMiss(j)
 	sp := j.span.Child("steal_handoff")
 	sp.Attr("thief", thief)
 	sp.End()
@@ -303,7 +294,7 @@ func (s *Server) grantSteal(j *job, thief string) ([]byte, error) {
 	s.stolen[j.id] = &stolenJob{j: j, thief: thief,
 		deadline: time.Now().Add(s.cluster.Config().StealLease)}
 	s.stolenMu.Unlock()
-	mStealGrants.Inc()
+	s.m.stealGrants.Inc()
 	return grant, nil
 }
 
@@ -312,19 +303,10 @@ func (s *Server) grantSteal(j *job, thief string) ([]byte, error) {
 // cancelled instead of blocking the steal handler.
 func (s *Server) requeue(j *job) {
 	j.beginQueueWait()
-	s.qmu.Lock()
-	if !s.draining {
-		select {
-		case s.queue <- j:
-			s.qmu.Unlock()
-			mQueueDepth.Set(float64(len(s.queue)))
-			return
-		default:
-		}
+	if s.enqueue(j) != http.StatusAccepted {
+		j.endQueueWait(s.m.queueWait)
+		s.finish(j, nil, false, context.Canceled)
 	}
-	s.qmu.Unlock()
-	j.endQueueWait(s.stats)
-	s.finishWithError(j, context.Canceled)
 }
 
 // handleClusterComplete accepts a thief's result for a job this node
@@ -357,30 +339,20 @@ func (s *Server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "done without a result body")
 			return
 		}
-		// Cache the result regardless of who wins the finish race; the
+		// Keep the result regardless of who wins the finish race; the
 		// bytes are identical either way.
-		ent := &cacheEntry{key: j.key, body: doc.Body, labels: doc.Labels}
-		s.cache.put(ent)
-		if s.durable != nil {
-			s.durable.persistEntry(ent)
-		}
-		if !j.claimFinish() {
+		j.span.Child("steal_complete").End()
+		if !s.finish(j, s.keep(j, doc.Body, doc.Labels), false, nil) {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ignored"})
 			return
 		}
-		mCompleted.Inc()
-		s.stats.completed.Add(1)
-		sp := j.span.Child("steal_complete")
-		sp.End()
-		j.finishOK(doc.Body, doc.Labels, false)
-		s.journalFinish(j, StatusDone)
-		mStealCompletesIn.Inc()
+		s.m.stealCompletesIn.Inc()
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	case StatusFailed:
 		if doc.Error == "" {
 			doc.Error = "stolen job failed on thief"
 		}
-		if !s.finishWithError(j, errors.New(doc.Error)) {
+		if !s.finish(j, nil, false, errors.New(doc.Error)) {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ignored"})
 			return
 		}
@@ -417,7 +389,7 @@ func (s *Server) stealLoop() {
 			if !ok {
 				continue
 			}
-			mSteals.Inc()
+			s.m.steals.Inc()
 			s.runStolen(peer, grant)
 			break
 		}
@@ -427,67 +399,44 @@ func (s *Server) stealLoop() {
 // idle reports whether this node has spare capacity worth filling with a
 // peer's work.
 func (s *Server) idle() bool {
-	return len(s.queue) == 0 && s.stats.inflight.Load() < int64(s.cfg.Workers)
+	return len(s.queue) == 0 && s.m.inflight.Value() < float64(s.cfg.Workers)
 }
 
 // runStolen executes one steal grant: rebuild the job privately (it never
 // enters this node's registry or journal — the owner owns its identity),
-// answer from the local cache when possible, otherwise solve, cache the
-// result locally, and post it back under the original id.
+// resolve it through the local and peer caches or a solve, and post the
+// outcome back under the original id.
 func (s *Server) runStolen(owner string, raw []byte) {
 	var g stealGrant
 	if err := json.Unmarshal(raw, &g); err != nil {
 		fmt.Fprintf(os.Stderr, "gpp-serve: bad steal grant from %s: %v\n", owner, err)
 		return
 	}
-	var c netlist.Circuit
-	if err := json.Unmarshal(g.Circuit, &c); err != nil {
-		s.completeStolen(owner, g.ID, nil, fmt.Errorf("bad circuit in grant: %w", err))
-		return
+	if g.RemainingMS <= 0 {
+		return // expired in transit: the owner's lease reclaim settles it
 	}
-	if err := c.Validate(); err != nil {
+	var c netlist.Circuit
+	err := json.Unmarshal(g.Circuit, &c)
+	if err == nil {
+		err = c.Validate()
+	}
+	if err != nil {
 		s.completeStolen(owner, g.ID, nil, fmt.Errorf("bad circuit in grant: %w", err))
 		return
 	}
 	req := g.Request
 	req.Circuit, req.DEF, req.FromJob = "", "", ""
-	if g.RemainingMS > 0 {
-		req.TimeoutMS = g.RemainingMS
-	}
+	req.TimeoutMS = g.RemainingMS
 	j, _, err := s.makeJob(newCircuitRef(&c), g.CircuitName, &req)
 	if err != nil {
 		s.completeStolen(owner, g.ID, nil, err)
 		return
 	}
-	defer j.cancel()
+	j.lookupCounted = true // the owner booked the job's miss at grant
 	j.span.Attr("stolen_from", owner)
-	if g.RemainingMS <= 0 {
-		s.completeStolen(owner, g.ID, nil, context.DeadlineExceeded)
-		return
-	}
-	if ent, tier, ok := s.cacheGet(j.key); ok {
-		j.spanCacheLookup(tier)
-		j.finishOK(ent.body, ent.labels, true)
-		s.completeStolen(owner, g.ID, ent, nil)
-		return
-	}
-	j.spanCacheLookup("miss")
-	j.setRunning()
-	solveSpan := j.span.Child("solve")
-	body, labels, err := s.solve(j, solveSpan)
-	solveSpan.End()
-	if err != nil {
-		j.finishErr(StatusFailed, err)
-		s.completeStolen(owner, g.ID, nil, err)
-		return
-	}
-	ent := &cacheEntry{key: j.key, body: body, labels: labels}
-	s.cache.put(ent)
-	if s.durable != nil {
-		s.durable.persistEntry(ent)
-	}
-	j.finishOK(body, labels, false)
-	s.completeStolen(owner, g.ID, ent, nil)
+	ent, _, err := s.resolve(j)
+	j.cancel()
+	s.completeStolen(owner, g.ID, ent, err)
 }
 
 // completeStolen posts a stolen job's outcome back to its owner, with a
@@ -518,7 +467,7 @@ func (s *Server) completeStolen(owner, id string, ent *cacheEntry, solveErr erro
 		err := s.cluster.Complete(ctx, owner, raw)
 		cancel()
 		if err == nil {
-			mStealCompletesOut.Inc()
+			s.m.stealCompletesOut.Inc()
 			return
 		}
 		select {
@@ -576,27 +525,19 @@ func (s *Server) reclaimExpired(retryAfter time.Duration) {
 		if gone {
 			continue
 		}
-		mReclaims.Inc()
+		s.m.reclaims.Inc()
 		sp := j.span.Child("steal_reclaim")
 		sp.Attr("thief", sj.thief)
 		sp.End()
 		j.publish(obs.Event{Kind: kindJobReclaimed})
 		j.beginQueueWait()
-		s.qmu.Lock()
-		if !s.draining {
-			select {
-			case s.queue <- j:
-				s.qmu.Unlock()
-				mQueueDepth.Set(float64(len(s.queue)))
-				continue
-			default:
-			}
+		code := s.enqueue(j)
+		if code == http.StatusAccepted {
+			continue
 		}
-		draining := s.draining
-		s.qmu.Unlock()
-		j.endQueueWait(s.stats)
-		if draining {
-			s.finishWithError(j, context.Canceled)
+		j.endQueueWait(s.m.queueWait)
+		if code == http.StatusServiceUnavailable {
+			s.finish(j, nil, false, context.Canceled)
 			continue
 		}
 		// Queue full right now: push the lease out and retry shortly.
@@ -632,20 +573,3 @@ func (s *Server) waitStolen(ctx context.Context) {
 		}
 	}
 }
-
-var (
-	mForwarded = obs.Default().Counter("gpp_cluster_jobs_forwarded_total",
-		"submissions proxied to the node owning their cache key")
-	mPeerCacheHits = obs.Default().Counter("gpp_cluster_peer_cache_hits_total",
-		"jobs answered from a peer's result cache via read-through")
-	mStealGrants = obs.Default().Counter("gpp_cluster_steal_grants_total",
-		"queued jobs handed to an idle peer")
-	mSteals = obs.Default().Counter("gpp_cluster_steals_total",
-		"jobs this node stole from busy peers")
-	mStealCompletesOut = obs.Default().Counter("gpp_cluster_steal_completes_sent_total",
-		"stolen-job results posted back to owners")
-	mStealCompletesIn = obs.Default().Counter("gpp_cluster_steal_completes_applied_total",
-		"thief results applied to jobs this node owns")
-	mReclaims = obs.Default().Counter("gpp_cluster_steal_reclaims_total",
-		"stolen jobs re-enqueued after their lease expired")
-)

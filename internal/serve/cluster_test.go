@@ -206,7 +206,7 @@ func TestClusterPeerReadThroughByteIdentity(t *testing.T) {
 
 	// Same request pinned to node B: local memory+disk miss, then peer
 	// read-through finds A's blob before solving.
-	peerHits0 := mPeerCacheHits.Value()
+	peerHits0 := a.s.m.peerCacheHits.Value() + b.s.m.peerCacheHits.Value()
 	_, sbB := postJobLocal(t, b.url, req)
 	doneB := waitTerminal(t, b.url, sbB.ID)
 	if doneB.Status != StatusDone || doneB.Cache != "hit" {
@@ -216,7 +216,7 @@ func TestClusterPeerReadThroughByteIdentity(t *testing.T) {
 	if string(fetched) != string(cold) {
 		t.Fatalf("peer read-through differs from cold solve:\n%s\nvs\n%s", fetched, cold)
 	}
-	if d := mPeerCacheHits.Value() - peerHits0; d != 1 {
+	if d := a.s.m.peerCacheHits.Value() + b.s.m.peerCacheHits.Value() - peerHits0; d != 1 {
 		t.Errorf("gpp_cluster_peer_cache_hits_total advanced by %d, want 1", d)
 	}
 
@@ -251,8 +251,8 @@ func TestClusterWorkStealing(t *testing.T) {
 	_, slow := postJobLocal(t, a.url, slowReq(9200))
 	waitRunning(t, a.url, slow.ID)
 
-	grants0 := mStealGrants.Value()
-	completes0 := mStealCompletesIn.Value()
+	grants0 := a.s.m.stealGrants.Value() + b.s.m.stealGrants.Value()
+	completes0 := a.s.m.stealCompletesIn.Value() + b.s.m.stealCompletesIn.Value()
 	var ids []string
 	for i := int64(0); i < 4; i++ {
 		code, sb := postJobLocal(t, a.url, fastReq(9300+i))
@@ -270,10 +270,10 @@ func TestClusterWorkStealing(t *testing.T) {
 		}
 		getBody(t, a.url, "/v1/jobs/"+id+"/result", http.StatusOK)
 	}
-	if d := mStealGrants.Value() - grants0; d != 4 {
+	if d := a.s.m.stealGrants.Value() + b.s.m.stealGrants.Value() - grants0; d != 4 {
 		t.Errorf("steal grants advanced by %d, want 4", d)
 	}
-	if d := mStealCompletesIn.Value() - completes0; d != 4 {
+	if d := a.s.m.stealCompletesIn.Value() + b.s.m.stealCompletesIn.Value() - completes0; d != 4 {
 		t.Errorf("applied thief completes advanced by %d, want 4", d)
 	}
 	a.s.stolenMu.Lock()
@@ -326,7 +326,7 @@ func TestClusterStealLeaseReclaim(t *testing.T) {
 	}
 
 	// Act as the thief: claim the queued job, then vanish.
-	reclaims0 := mReclaims.Value()
+	reclaims0 := s.m.reclaims.Value()
 	resp, err := http.Post(base+"/v1/cluster/steal", "application/json",
 		bytes.NewReader([]byte(`{"thief":"http://127.0.0.1:59991"}`)))
 	if err != nil {
@@ -354,7 +354,7 @@ func TestClusterStealLeaseReclaim(t *testing.T) {
 	// Lease expires → reclaim re-enqueues. The worker is still occupied,
 	// so free it once the reclaim is observed.
 	deadline := time.Now().Add(5 * time.Second)
-	for mReclaims.Value() == reclaims0 {
+	for s.m.reclaims.Value() == reclaims0 {
 		if time.Now().After(deadline) {
 			t.Fatal("lease reclaim never happened")
 		}
@@ -441,7 +441,6 @@ func TestClusterOwnerCrashMidHandoffReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered0 := mJobsRecovered.Value()
 	s, err := New(Config{
 		Workers: 1, QueueDepth: 8, DataDir: dir,
 		Cluster: deadPeerCluster(10 * time.Second),
@@ -451,7 +450,7 @@ func TestClusterOwnerCrashMidHandoffReplays(t *testing.T) {
 	}
 	hs := httptest.NewServer(s)
 	base := hs.URL
-	if got := mJobsRecovered.Value() - recovered0; got != 1 {
+	if got := s.m.jobsRecovered.Value(); got != 1 {
 		t.Fatalf("recovered %d jobs at boot, want 1 (handoff must not terminate the accept)", got)
 	}
 	sb := waitTerminal(t, base, jobID)

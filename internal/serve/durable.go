@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"gpp/internal/netlist"
-	"gpp/internal/obs"
 	"gpp/internal/store"
 )
 
@@ -45,6 +44,8 @@ type durable struct {
 	// compaction set.
 	mu   sync.Mutex
 	live map[string]store.Record
+
+	m *serverMetrics // the owning Server's instruments
 }
 
 // compactAfter bounds journal growth: once this many records accumulate
@@ -77,7 +78,7 @@ type cacheBlob struct {
 
 // openDurable opens the data directory, replays the journal, and returns
 // the durable state plus the jobs to re-enqueue (in journal order).
-func openDurable(cfg Config) (*durable, []*journaledJob, error) {
+func openDurable(cfg Config, m *serverMetrics) (*durable, []*journaledJob, error) {
 	st, err := store.Open(cfg.DataDir)
 	if err != nil {
 		return nil, nil, err
@@ -86,7 +87,7 @@ func openDurable(cfg Config) (*durable, []*journaledJob, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &durable{st: st, jnl: jnl, blobs: st.Blobs, live: make(map[string]store.Record)}
+	d := &durable{st: st, jnl: jnl, blobs: st.Blobs, live: make(map[string]store.Record), m: m}
 	for _, rec := range recs {
 		switch rec.Op {
 		case "accept":
@@ -201,14 +202,6 @@ func (d *durable) handoffJob(id, thief string) error {
 	return nil
 }
 
-// reacceptJob re-registers a replayed job in the live map under its
-// original accept record (already in the journal; nothing is appended).
-func (d *durable) reacceptJob(id string, rec store.Record) {
-	d.mu.Lock()
-	d.live[id] = rec
-	d.mu.Unlock()
-}
-
 // finishJob marks a job terminal in the journal, attaching the job's
 // flight-recorder profile (may be nil) as the record payload — recent
 // terminal records double as a post-mortem trail until the next
@@ -260,7 +253,7 @@ func (d *durable) persistEntry(e *cacheEntry) {
 		fmt.Fprintf(os.Stderr, "gpp-serve: persist cache entry: %v\n", err)
 		return
 	}
-	mCachePersisted.Inc()
+	d.m.cachePersisted.Inc()
 }
 
 // loadEntry reads a cache entry back from the blob store; ok is false on
@@ -274,7 +267,7 @@ func (d *durable) loadEntry(key string) (*cacheEntry, bool) {
 	if err := json.Unmarshal(raw, &cb); err != nil {
 		return nil, false
 	}
-	mCacheDiskHits.Inc()
+	d.m.cacheDiskHits.Inc()
 	return &cacheEntry{key: key, body: cb.Body, labels: cb.Labels}, true
 }
 
@@ -284,12 +277,3 @@ func (d *durable) close() {
 		fmt.Fprintf(os.Stderr, "gpp-serve: close journal: %v\n", err)
 	}
 }
-
-var (
-	mCachePersisted = obs.Default().Counter("gpp_serve_cache_persisted_total",
-		"result-cache entries written to the blob store")
-	mCacheDiskHits = obs.Default().Counter("gpp_serve_cache_disk_hits_total",
-		"cache lookups answered from the blob store after an LRU miss")
-	mJobsRecovered = obs.Default().Counter("gpp_serve_jobs_recovered_total",
-		"journaled unfinished jobs re-enqueued at boot")
-)

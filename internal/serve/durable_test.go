@@ -118,9 +118,8 @@ func TestDurableJournalReplaysUnfinishedJob(t *testing.T) {
 		store.Record{Op: "accept", ID: "deadbeef00000002"},
 		store.Record{Op: "done", ID: "deadbeef00000002"})
 
-	recovered0 := mJobsRecovered.Value()
-	_, base := newTestServer(t, cfg)
-	if got := mJobsRecovered.Value() - recovered0; got != 1 {
+	s, base := newTestServer(t, cfg)
+	if got := s.m.jobsRecovered.Value(); got != 1 {
 		t.Fatalf("recovered %v jobs at boot, want 1", got)
 	}
 	// The replayed job is queryable under its original id and completes.
@@ -156,13 +155,12 @@ func TestDurableJournalFailsRemovedPrecision(t *testing.T) {
 	path := forgeJournal(t, dir, &JobOptions{Seed: 4006, MaxIters: 300, Precision: "float32"},
 		store.Record{Op: "accept", ID: jobID})
 
-	r0 := mJobsRecovered.Value()
 	s, base := newTestServer(t, cfg)
-	if got := mJobsRecovered.Value() - r0; got != 0 {
+	if got := s.m.jobsRecovered.Value(); got != 0 {
 		t.Fatalf("recovered %v jobs at boot, want 0", got)
 	}
 	getBody(t, base, "/v1/jobs/"+jobID, http.StatusNotFound)
-	if sub, done := s.stats.submitted.Load(), s.stats.completed.Load(); sub != 0 || done != 0 {
+	if sub, done := s.m.submitted.Value(), s.m.completed.Value(); sub != 0 || done != 0 {
 		t.Fatalf("daemon submitted %d and completed %d jobs, want none", sub, done)
 	}
 	shutdownNow(t, s)
@@ -188,9 +186,8 @@ func TestDurableJournalMarksFinished(t *testing.T) {
 
 	// The finished job left a terminal record, so a restart replays
 	// nothing and the journal compacts to empty.
-	recovered0 := mJobsRecovered.Value()
 	s2, _ := restartServer(t, cfg)
-	if got := mJobsRecovered.Value() - recovered0; got != 0 {
+	if got := s2.m.jobsRecovered.Value(); got != 0 {
 		t.Fatalf("restart after clean finish recovered %v jobs, want 0", got)
 	}
 	s2.durable.mu.Lock()
@@ -255,7 +252,7 @@ func TestDurableBootOnTornJournal(t *testing.T) {
 	}
 	f.Close()
 
-	t0, c0, r0 := torn.Value(), compactions.Value(), mJobsRecovered.Value()
+	t0, c0 := torn.Value(), compactions.Value()
 	s, base := newTestServer(t, cfg)
 	if got := torn.Value() - t0; got != 1 {
 		t.Fatalf("boot counted %d torn tails, want 1", got)
@@ -263,7 +260,7 @@ func TestDurableBootOnTornJournal(t *testing.T) {
 	if got := compactions.Value() - c0; got != 0 {
 		t.Fatalf("boot on an all-live journal compacted %d times, want 0", got)
 	}
-	if got := mJobsRecovered.Value() - r0; got != 1 {
+	if got := s.m.jobsRecovered.Value(); got != 1 {
 		t.Fatalf("recovered %v jobs at boot, want 1", got)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

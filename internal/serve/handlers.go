@@ -45,9 +45,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/cluster/blob/{key}", s.handleClusterBlob)
 	s.mux.HandleFunc("POST /v1/cluster/steal", s.handleClusterSteal)
 	s.mux.HandleFunc("POST /v1/cluster/complete", s.handleClusterComplete)
-	debug := obs.NewMux(obs.Default())
-	s.mux.Handle("GET /metrics", debug)
-	s.mux.Handle("/debug/", debug)
+	// /metrics writes this daemon's own instruments, then the process
+	// registry; /debug/vars carries the process registry only.
+	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = s.reg.WriteProm(w)
+		_ = obs.Default().WriteProm(w)
+	})
+	s.mux.Handle("/debug/", obs.NewMux(obs.Default()))
 }
 
 // JobRequest is the submission document for POST /v1/jobs. Exactly one of
@@ -216,105 +221,74 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mSubmitted.Inc()
-	s.stats.submitted.Add(1)
-	// Cache check before queueing: a hit — in the LRU or persisted on
-	// disk from before a restart — completes synchronously and never
-	// occupies a queue slot or a worker.
-	if ent, tier, ok := s.cacheGet(j.key); ok {
-		j.spanCacheLookup(tier)
-		mCacheHits.Inc()
-		mCompleted.Inc()
-		s.stats.cacheHits.Add(1)
-		s.stats.completed.Add(1)
-		j.cancel()
-		s.store.add(j)
-		j.finishOK(ent.body, ent.labels, true)
-		writeJSON(w, http.StatusOK, s.statusJSON(j))
+	code := s.admit(j, &req, false)
+	if code == http.StatusOK || code == http.StatusAccepted {
+		writeJSON(w, code, s.statusJSON(j))
 		return
 	}
-	j.spanCacheLookup("miss")
-	// Misses are counted at resolution time (runJob), not here: a job that
-	// misses now may still be answered from the cache after queueing behind
-	// an identical solve, and counting both ends would double-book it.
-	//
-	// Write-ahead: the accept record must be durable before the job can
-	// reach a worker, or a fast solve could journal its terminal record
-	// first and the replay would resurrect a finished job.
-	if s.durable != nil {
-		wal := j.span.Child("wal_accept")
-		err := s.durable.acceptJob(j, &req)
-		wal.End()
-		if err != nil {
-			j.cancel()
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-	s.store.add(j)
-	j.publish(obs.Event{Kind: kindJobQueued})
-	j.beginQueueWait()
-	switch code := s.enqueue(j); code {
-	case http.StatusAccepted:
-		writeJSON(w, http.StatusAccepted, s.statusJSON(j))
-	case http.StatusServiceUnavailable:
-		s.store.remove(j.id)
-		j.cancel()
-		s.journalFinish(j, StatusCancelled)
-		writeError(w, code, "daemon is draining")
-	default: // 429
-		mRejected.Inc()
-		s.store.remove(j.id)
-		j.cancel()
-		s.journalFinish(j, StatusCancelled)
+	// A refused job leaves the registry again: its client never learns the
+	// id. It is still on the ledger, finished cancelled (or failed, when the
+	// journal write failed).
+	s.store.remove(j.id)
+	switch code {
+	case http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests,
-			"queue full (%d jobs waiting); retry later", s.cfg.QueueDepth)
+		writeError(w, code, "queue full (%d jobs waiting); retry later", s.cfg.QueueDepth)
+	case http.StatusServiceUnavailable:
+		writeError(w, code, "daemon is draining")
+	default:
+		writeError(w, code, "%s", s.statusJSON(j).Error)
 	}
 }
 
 // buildJob parses and validates a request into a ready-to-queue job. The
 // returned int is the HTTP status for the error case.
 func (s *Server) buildJob(req *JobRequest) (*job, int, error) {
-	var (
-		ref  *circuitRef
-		name string
-	)
+	ref, name, code, err := s.resolveCircuit(req)
+	if err != nil {
+		return nil, code, err
+	}
+	return s.makeJob(ref, name, req)
+}
+
+// resolveCircuit resolves a request's one circuit source to a shared ref
+// and the circuit's name: a benchmark name through the circuit memo, an
+// inline DEF with one canonical encoding, or from_job to the prior job's
+// ref. Jobs and sweeps share it; a sweep has no from_job. The int is the
+// HTTP status for the error case.
+func (s *Server) resolveCircuit(req *JobRequest) (*circuitRef, string, int, error) {
 	sources := 0
 	for _, set := range []bool{req.Circuit != "", req.DEF != "", req.FromJob != ""} {
 		if set {
 			sources++
 		}
 	}
-	if sources != 1 {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("exactly one of circuit, def, from_job must be set")
-	}
 	switch {
+	case sources != 1:
+		return nil, "", http.StatusBadRequest,
+			fmt.Errorf("exactly one of circuit, def, from_job must be set")
 	case req.Circuit != "":
-		r, err := s.memo.get(req.Circuit)
+		ref, err := s.memo.get(req.Circuit, s.m)
 		if err != nil {
-			return nil, http.StatusBadRequest, err
+			return nil, "", http.StatusBadRequest, err
 		}
-		ref, name = r, r.circuit.Name
+		return ref, ref.circuit.Name, 0, nil
 	case req.DEF != "":
 		d, err := def.Parse(strings.NewReader(req.DEF))
 		if err != nil {
-			return nil, http.StatusBadRequest, err
+			return nil, "", http.StatusBadRequest, err
 		}
 		c, err := def.ToCircuit(d, s.cfg.Library)
 		if err != nil {
-			return nil, http.StatusBadRequest, err
+			return nil, "", http.StatusBadRequest, err
 		}
-		ref, name = newCircuitRef(c), c.Name
-	default:
-		prior, ok := s.store.get(req.FromJob)
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("from_job %q not found", req.FromJob)
-		}
-		ref, name = prior.ref, prior.circuitName
+		return newCircuitRef(c), c.Name, 0, nil
 	}
-	return s.makeJob(ref, name, req)
+	prior, ok := s.store.get(req.FromJob)
+	if !ok {
+		return nil, "", http.StatusNotFound, fmt.Errorf("from_job %q not found", req.FromJob)
+	}
+	return prior.ref, prior.circuitName, 0, nil
 }
 
 // makeJob validates the request against an already-resolved circuit and
@@ -359,12 +333,15 @@ func (s *Server) makeJob(ref *circuitRef, name string, req *JobRequest) (*job, i
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	timeout := s.cfg.DefaultJobTimeout
+	// The cap applies in milliseconds, before the Duration conversion:
+	// 2^63 ns is only ~106 days, and a larger timeout_ms would wrap to a
+	// negative Duration and an already-expired job.
+	timeout := min(s.cfg.DefaultJobTimeout, s.cfg.MaxJobTimeout)
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxJobTimeout {
 		timeout = s.cfg.MaxJobTimeout
+		if req.TimeoutMS < timeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		}
 	}
 	// Keep the request for steal grants, minus the circuit payload (it
 	// ships separately as canonical circuit JSON; a DEF upload would
@@ -438,14 +415,16 @@ func (s *Server) statusJSON(j *job) statusBody {
 	if j.restarts > 1 {
 		sb.Restarts = j.restarts
 	}
-	stamp := func(t time.Time) string {
-		if t.IsZero() {
-			return ""
-		}
-		return t.UTC().Format(time.RFC3339Nano)
-	}
 	sb.Submitted, sb.Started, sb.Finished = stamp(submitted), stamp(started), stamp(finished)
 	return sb
+}
+
+// stamp renders a job or sweep timestamp for the wire; zero is absent.
+func stamp(t time.Time) string {
+	if t.IsZero() {
+		return ""
+	}
+	return t.UTC().Format(time.RFC3339Nano)
 }
 
 // listLimitDefault and listLimitMax bound GET /v1/jobs responses; the
@@ -571,20 +550,24 @@ func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// handleEvents streams the job's progress as Server-Sent Events: the
-// buffered history first, then live events until the job finishes, closed
+// handleEvents streams the job's progress as Server-Sent Events, closed
 // by a terminal "status" frame carrying the full job document.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFor(w, r)
-	if !ok {
-		return
+	if j, ok := s.jobFor(w, r); ok {
+		s.streamSSE(w, r, j.broker, func() any { return s.statusJSON(j) })
 	}
+}
+
+// streamSSE writes a broker's buffered history and then its live events
+// as Server-Sent Events until the broker closes, and ends with a terminal
+// "status" frame holding doc(). The job and sweep event endpoints share it.
+func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, b *broker, doc func() any) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	replay, ch, detach := j.broker.subscribe()
+	replay, ch, detach := b.subscribe()
 	defer detach()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -607,10 +590,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case e, open := <-ch:
 			if !open {
-				// Job finished: emit the terminal status frame and end.
-				doc, err := json.Marshal(s.statusJSON(j))
-				if err == nil {
-					fmt.Fprintf(w, "event: status\ndata: %s\n\n", doc)
+				if body, err := json.Marshal(doc()); err == nil {
+					fmt.Fprintf(w, "event: status\ndata: %s\n\n", body)
 				}
 				flusher.Flush()
 				return
@@ -698,9 +679,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	h := health{
 		Status:     "ok",
-		UptimeS:    time.Since(s.stats.start).Seconds(),
+		UptimeS:    time.Since(s.started).Seconds(),
 		Jobs:       s.store.len(),
-		Inflight:   s.stats.inflight.Load(),
+		Inflight:   int64(s.m.inflight.Value()),
 		QueueDepth: len(s.queue),
 		QueueCap:   s.cfg.QueueDepth,
 		CacheSize:  s.cache.len(),

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpp/internal/multilevel"
@@ -66,6 +67,11 @@ type job struct {
 	cancel context.CancelFunc
 	broker *broker
 
+	// journaled is set once the job has an accept record in the journal
+	// (written at admission, or replayed at boot); finish then writes its
+	// terminal record.
+	journaled atomic.Bool
+
 	// Per-job tracing (nil when Config.FlightRecorder < 0): the ring of
 	// recent events, the timed span trace feeding it, the root "job"
 	// span, and the in-flight queue_wait span. spanQueue and enqueued are
@@ -90,10 +96,10 @@ type job struct {
 	// finishing is the finish claim: once a cluster exists, a job can
 	// have two would-be finishers (a thief's posted result and a local
 	// re-solve after lease reclaim), and claimFinish lets exactly one
-	// through. missCounted plays the same role for cache-miss accounting
-	// across a steal + reclaim re-run.
-	finishing   bool
-	missCounted bool
+	// through. lookupCounted plays the same role for the job's one cache
+	// hit-or-miss count across a steal + reclaim re-run.
+	finishing     bool
+	lookupCounted bool
 }
 
 // claimFinish atomically claims the right to finish this job; exactly one
@@ -109,15 +115,15 @@ func (j *job) claimFinish() bool {
 	return true
 }
 
-// countMiss claims the job's single cache-miss accounting slot; the first
+// countLookup claims the job's single cache hit-or-miss count; the first
 // caller gets true.
-func (j *job) countMiss() bool {
+func (j *job) countLookup() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.missCounted {
+	if j.lookupCounted {
 		return false
 	}
-	j.missCounted = true
+	j.lookupCounted = true
 	return true
 }
 

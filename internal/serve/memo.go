@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 
 	"gpp/internal/gen"
-	"gpp/internal/obs"
 )
 
 // circuitMemo maps each Table I benchmark name (gen.BenchmarkNames) to a
@@ -33,13 +33,24 @@ func newCircuitMemo() circuitMemo {
 	return m
 }
 
+// maxParGates is the largest par<N> scaling circuit the daemon builds:
+// the million-gate instance the repository documents and tests
+// (multilevel's TestMillionGateVCycle). A larger N would allocate without
+// bound, or overflow inside the generator.
+const maxParGates = 1_000_000
+
 // get returns the ref for a benchmark name: the shared one for a suite
-// name, a fresh one for any other. An unknown name returns
-// gen.Benchmark's error.
-func (m circuitMemo) get(name string) (*circuitRef, error) {
-	slot, ok := m[name]
+// name, a fresh one for any other. An unknown name returns gen.Benchmark's
+// error, and a par<N> beyond maxParGates an error naming the limit. Each
+// lookup that runs the generator counts a memo miss in m, every other
+// suite lookup a hit.
+func (cm circuitMemo) get(name string, m *serverMetrics) (*circuitRef, error) {
+	slot, ok := cm[name]
 	if !ok {
-		mMemoMisses.Inc()
+		if spec, par := gen.ParSpec(name); par && spec.Gates > maxParGates {
+			return nil, fmt.Errorf("circuit %q has %d gates; par<N> circuits are limited to %d", name, spec.Gates, maxParGates)
+		}
+		m.memoMisses.Inc()
 		return generateRef(name)
 	}
 	generated := false
@@ -48,9 +59,9 @@ func (m circuitMemo) get(name string) (*circuitRef, error) {
 		slot.ref, slot.err = generateRef(name)
 	})
 	if generated {
-		mMemoMisses.Inc()
+		m.memoMisses.Inc()
 	} else {
-		mMemoHits.Inc()
+		m.memoHits.Inc()
 	}
 	return slot.ref, slot.err
 }
@@ -62,10 +73,3 @@ func generateRef(name string) (*circuitRef, error) {
 	}
 	return newCircuitRef(c), nil
 }
-
-var (
-	mMemoHits = obs.Default().Counter("gpp_serve_circuit_memo_hits_total",
-		"named-circuit lookups answered by the circuit memo without generating")
-	mMemoMisses = obs.Default().Counter("gpp_serve_circuit_memo_misses_total",
-		"named-circuit lookups that ran the circuit generator")
-)

@@ -117,7 +117,7 @@ func TestSharedCircuitConcurrentJobs(t *testing.T) {
 		{{Name: "timing_critical"}},
 	}
 	const perObjective = 2
-	hits0, misses0 := mMemoHits.Value(), mMemoMisses.Value()
+	hits0, misses0 := s.m.memoHits.Value(), s.m.memoMisses.Value()
 
 	var wg sync.WaitGroup
 	for i, terms := range objectives {
@@ -187,7 +187,7 @@ func TestSharedCircuitConcurrentJobs(t *testing.T) {
 	if want := 3*chains + 2; len(jobs) != want { // 3 jobs per chain, 2 sweep cells
 		t.Errorf("%d jobs registered, want %d", len(jobs), want)
 	}
-	hits, misses := mMemoHits.Value()-hits0, mMemoMisses.Value()-misses0
+	hits, misses := s.m.memoHits.Value()-hits0, s.m.memoMisses.Value()-misses0
 	if misses != 1 || hits+misses != named {
 		t.Errorf("memo hits %d misses %d over %d named submissions, want 1 miss", hits, misses, named)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"gpp/internal/obs"
@@ -19,37 +18,6 @@ import (
 // into the SSE stream, rendered as waterfalls on /v1/debug/ops, and
 // persisted with the terminal journal record so a crashed daemon keeps a
 // forensic trail of its recent jobs.
-//
-// The per-server stats here deliberately duplicate a subset of the
-// process-wide gpp_serve_* metrics: the obs registry is shared by every
-// Server in the process (tests run dozens), while /v1/debug/ops must
-// describe exactly one daemon since its boot.
-
-// serverStats aggregates one Server's lifetime counters and latency
-// distributions. All fields are atomics / internally-locked histograms;
-// no mutex needed.
-type serverStats struct {
-	start      time.Time
-	submitted  atomic.Int64
-	completed  atomic.Int64
-	failed     atomic.Int64
-	cancelled  atomic.Int64
-	cacheHits  atomic.Int64
-	cacheMiss  atomic.Int64
-	sloWithin  atomic.Int64
-	sloBreach  atomic.Int64
-	inflight   atomic.Int64
-	queueWait  *obs.Histogram // seconds from admission to worker pickup
-	jobSeconds *obs.Histogram // cold-solve wall seconds
-}
-
-func newServerStats() *serverStats {
-	return &serverStats{
-		start:      time.Now(),
-		queueWait:  obs.NewHistogram(obs.LogBuckets(0.0001, 60, 3)),
-		jobSeconds: obs.NewHistogram(obs.LogBuckets(0.001, 600, 3)),
-	}
-}
 
 // initTracing attaches the flight recorder and opens the job's root span.
 // With tracing disabled (Config.FlightRecorder < 0) everything stays nil
@@ -88,13 +56,11 @@ func (j *job) beginQueueWait() {
 	j.spanQueue = j.span.Child("queue_wait")
 }
 
-// endQueueWait closes the queue_wait span and records the wait in the
-// histograms. Called once, by the worker that picked the job up.
-func (j *job) endQueueWait(stats *serverStats) {
+// endQueueWait closes the queue_wait span and records the wait in h.
+// Called once, by whoever took the job off the queue.
+func (j *job) endQueueWait(h *obs.Histogram) {
 	if !j.enqueued.IsZero() {
-		wait := time.Since(j.enqueued).Seconds()
-		mQueueWait.Observe(wait)
-		stats.queueWait.Observe(wait)
+		h.Observe(time.Since(j.enqueued).Seconds())
 	}
 	j.spanQueue.End()
 	j.spanQueue = nil
@@ -230,29 +196,29 @@ type opsJob struct {
 const opsRecentJobs = 10
 
 func (s *Server) opsSnapshot() opsBody {
-	st := s.stats
+	m := s.m
 	var body opsBody
-	body.UptimeS = time.Since(st.start).Seconds()
+	body.UptimeS = time.Since(s.started).Seconds()
 	body.Draining = s.Draining()
 	body.Workers = s.cfg.Workers
 	body.QueueDepth = len(s.queue)
 	body.QueueCap = s.cfg.QueueDepth
-	body.Inflight = st.inflight.Load()
-	body.Jobs.Submitted = st.submitted.Load()
-	body.Jobs.Completed = st.completed.Load()
-	body.Jobs.Failed = st.failed.Load()
-	body.Jobs.Cancelled = st.cancelled.Load()
-	body.Cache.Hits = st.cacheHits.Load()
-	body.Cache.Misses = st.cacheMiss.Load()
+	body.Inflight = int64(m.inflight.Value())
+	body.Jobs.Submitted = m.submitted.Value()
+	body.Jobs.Completed = m.completed.Value()
+	body.Jobs.Failed = m.failed.Value()
+	body.Jobs.Cancelled = m.cancelled.Value()
+	body.Cache.Hits = m.cacheHits.Value()
+	body.Cache.Misses = m.cacheMisses.Value()
 	body.Cache.Entries = s.cache.len()
 	if total := body.Cache.Hits + body.Cache.Misses; total > 0 {
 		body.Cache.HitRate = float64(body.Cache.Hits) / float64(total)
 	}
-	body.Latency.SolveP50S = st.jobSeconds.Quantile(0.50)
-	body.Latency.SolveP95S = st.jobSeconds.Quantile(0.95)
-	body.Latency.SolveP99S = st.jobSeconds.Quantile(0.99)
-	body.Latency.QueueWaitP50S = st.queueWait.Quantile(0.50)
-	body.Latency.QueueWaitP99S = st.queueWait.Quantile(0.99)
+	body.Latency.SolveP50S = m.jobSeconds.Quantile(0.50)
+	body.Latency.SolveP95S = m.jobSeconds.Quantile(0.95)
+	body.Latency.SolveP99S = m.jobSeconds.Quantile(0.99)
+	body.Latency.QueueWaitP50S = m.queueWait.Quantile(0.50)
+	body.Latency.QueueWaitP99S = m.queueWait.Quantile(0.99)
 	if s.cfg.SLOSolve > 0 {
 		slo := &struct {
 			TargetMS int64   `json:"target_ms"`
@@ -260,7 +226,7 @@ func (s *Server) opsSnapshot() opsBody {
 			Breached int64   `json:"breached"`
 			BurnRate float64 `json:"burn_rate"`
 		}{TargetMS: s.cfg.SLOSolve.Milliseconds(),
-			Within: st.sloWithin.Load(), Breached: st.sloBreach.Load()}
+			Within: m.sloWithin.Value(), Breached: m.sloBreached.Value()}
 		if total := slo.Within + slo.Breached; total > 0 {
 			slo.BurnRate = float64(slo.Breached) / float64(total)
 		}

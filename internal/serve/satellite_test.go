@@ -46,14 +46,14 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 
 	// Recent jobs took ~10s each.
 	for i := 0; i < 4; i++ {
-		s.stats.jobSeconds.Observe(10)
+		s.m.jobSeconds.Observe(10)
 	}
 	idle := s.retryAfterSeconds() // backlog floor of 1 → ~10s
-	s.stats.inflight.Add(3)       // now 3 jobs in flight
+	s.m.inflight.Add(3)           // now 3 jobs in flight
 	busy := s.retryAfterSeconds() // ~30s
-	s.stats.inflight.Add(100)     // pathological depth
+	s.m.inflight.Add(100)         // pathological depth
 	capped := s.retryAfterSeconds()
-	s.stats.inflight.Add(-103)
+	s.m.inflight.Add(-103)
 
 	if idle != 10 {
 		t.Errorf("retryAfter idle = %d, want 10 (one 10s job ahead)", idle)

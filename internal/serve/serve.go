@@ -6,6 +6,12 @@
 //
 // The moving parts, and the contracts the tests pin down:
 //
+//   - One job pipeline. HTTP submits, sweep cells and journal recovery
+//     enter through one admission function (admit), workers and cluster
+//     thieves answer a job through one resolve (memory, disk and peer
+//     cache tiers, then a solve whose result is kept), and every terminal
+//     transition goes through one finish, which books exactly one outcome
+//     per admitted job and one terminal journal record per accept record.
 //   - Job queue with backpressure. Submissions enter a bounded channel;
 //     when it is full the daemon answers 429 with a Retry-After header
 //     instead of buffering unboundedly. A draining daemon answers 503.
@@ -39,6 +45,10 @@
 //     write-ahead journaled (internal/store): a restarted daemon serves
 //     its old cache byte-identical from disk and re-enqueues
 //     accepted-but-unfinished jobs under their original ids.
+//   - Per-server metrics. Each Server registers its gpp_serve_* and
+//     gpp_cluster_* instruments on its own obs.Registry; /metrics writes
+//     them ahead of the process registry, and /v1/debug/ops and the
+//     Retry-After estimate read the same instruments.
 //
 // The daemon front-end lives in cmd/gpp-serve; the gpp facade re-exports
 // the Config type for embedding the server in other Go programs.
@@ -163,36 +173,81 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Serve metrics, registered on the process-wide obs registry like the
-// solver and pool counters, so /metrics on the daemon exposes the whole
-// stack in one scrape.
-var (
-	mSubmitted = obs.Default().Counter("gpp_serve_jobs_submitted_total",
-		"partition jobs accepted (cache hits included)")
-	mCompleted = obs.Default().Counter("gpp_serve_jobs_completed_total",
-		"jobs that finished with a result (cache hits included)")
-	mFailed = obs.Default().Counter("gpp_serve_jobs_failed_total",
-		"jobs that ended in an error (deadline exceeded included)")
-	mCancelled = obs.Default().Counter("gpp_serve_jobs_cancelled_total",
-		"jobs cancelled by the client or a forced shutdown")
-	mCacheHits = obs.Default().Counter("gpp_serve_cache_hits_total",
-		"submissions answered from the content-addressed result cache")
-	mCacheMisses = obs.Default().Counter("gpp_serve_cache_misses_total",
-		"jobs that reached a worker with no cached result (counted at resolution, not submission)")
-	mRejected = obs.Default().Counter("gpp_serve_queue_rejected_total",
-		"submissions rejected with 429 because the queue was full")
-	mQueueDepth = obs.Default().Gauge("gpp_serve_queue_depth",
-		"jobs waiting in the queue")
-	mInflight = obs.Default().Gauge("gpp_serve_jobs_inflight",
-		"jobs currently solving")
-	mJobSeconds = obs.Default().Histogram("gpp_serve_job_seconds",
-		obs.LogBuckets(0.001, 600, 3),
-		"wall time of completed solves (cache hits excluded)")
-	mQueueWait = obs.Default().Histogram("gpp_serve_queue_wait_seconds",
-		obs.LogBuckets(0.0001, 60, 3),
-		"time jobs spent queued before a worker picked them up")
-	mSLOWithin = obs.Default().Counter("gpp_serve_slo_within_total",
-		"cold solves that finished within the configured solve SLO")
-	mSLOBreached = obs.Default().Counter("gpp_serve_slo_breached_total",
-		"cold solves that exceeded the configured solve SLO")
-)
+// serverMetrics is one Server's instruments, on the Server's own
+// obs.Registry, so every number describes exactly one daemon since its
+// boot even with many servers in one process; /metrics follows them with
+// the process registry (solver, pool, store and cluster membership).
+type serverMetrics struct {
+	// Every admitted job counts once in submitted and reaches exactly one
+	// of completed, failed or cancelled.
+	submitted, completed, failed, cancelled *obs.Counter
+	cacheHits, cacheMisses, rejected        *obs.Counter
+	sloWithin, sloBreached                  *obs.Counter
+	queueDepth, inflight                    *obs.Gauge
+	jobSeconds, queueWait                   *obs.Histogram
+
+	cachePersisted, cacheDiskHits, jobsRecovered *obs.Counter
+	memoHits, memoMisses                         *obs.Counter
+
+	forwarded, peerCacheHits, stealGrants, steals *obs.Counter
+	stealCompletesOut, stealCompletesIn, reclaims *obs.Counter
+}
+
+func newServerMetrics(r *obs.Registry) *serverMetrics {
+	return &serverMetrics{
+		submitted: r.Counter("gpp_serve_jobs_submitted_total",
+			"partition jobs accepted (cache hits included)"),
+		completed: r.Counter("gpp_serve_jobs_completed_total",
+			"jobs that finished with a result (cache hits included)"),
+		failed: r.Counter("gpp_serve_jobs_failed_total",
+			"jobs that ended in an error (deadline exceeded included)"),
+		cancelled: r.Counter("gpp_serve_jobs_cancelled_total",
+			"jobs cancelled by the client or a forced shutdown"),
+		cacheHits: r.Counter("gpp_serve_cache_hits_total",
+			"submissions answered from the content-addressed result cache"),
+		cacheMisses: r.Counter("gpp_serve_cache_misses_total",
+			"jobs that reached a worker with no cached result (counted at resolution, not submission)"),
+		rejected: r.Counter("gpp_serve_queue_rejected_total",
+			"submissions rejected with 429 because the queue was full"),
+		sloWithin: r.Counter("gpp_serve_slo_within_total",
+			"cold solves that finished within the configured solve SLO"),
+		sloBreached: r.Counter("gpp_serve_slo_breached_total",
+			"cold solves that exceeded the configured solve SLO"),
+		queueDepth: r.Gauge("gpp_serve_queue_depth",
+			"jobs waiting in the queue"),
+		inflight: r.Gauge("gpp_serve_jobs_inflight",
+			"jobs currently solving"),
+		jobSeconds: r.Histogram("gpp_serve_job_seconds",
+			obs.LogBuckets(0.001, 600, 3),
+			"wall time of completed solves (cache hits excluded)"),
+		queueWait: r.Histogram("gpp_serve_queue_wait_seconds",
+			obs.LogBuckets(0.0001, 60, 3),
+			"time jobs spent queued before a worker picked them up"),
+
+		cachePersisted: r.Counter("gpp_serve_cache_persisted_total",
+			"result-cache entries written to the blob store"),
+		cacheDiskHits: r.Counter("gpp_serve_cache_disk_hits_total",
+			"cache lookups answered from the blob store after an LRU miss"),
+		jobsRecovered: r.Counter("gpp_serve_jobs_recovered_total",
+			"journaled unfinished jobs re-enqueued at boot"),
+		memoHits: r.Counter("gpp_serve_circuit_memo_hits_total",
+			"named-circuit lookups answered by the circuit memo without generating"),
+		memoMisses: r.Counter("gpp_serve_circuit_memo_misses_total",
+			"named-circuit lookups that ran the circuit generator"),
+
+		forwarded: r.Counter("gpp_cluster_jobs_forwarded_total",
+			"submissions proxied to the node owning their cache key"),
+		peerCacheHits: r.Counter("gpp_cluster_peer_cache_hits_total",
+			"jobs answered from a peer's result cache via read-through"),
+		stealGrants: r.Counter("gpp_cluster_steal_grants_total",
+			"queued jobs handed to an idle peer"),
+		steals: r.Counter("gpp_cluster_steals_total",
+			"jobs this node stole from busy peers"),
+		stealCompletesOut: r.Counter("gpp_cluster_steal_completes_sent_total",
+			"stolen-job results posted back to owners"),
+		stealCompletesIn: r.Counter("gpp_cluster_steal_completes_applied_total",
+			"thief results applied to jobs this node owns"),
+		reclaims: r.Counter("gpp_cluster_steal_reclaims_total",
+			"stolen jobs re-enqueued after their lease expired"),
+	}
+}

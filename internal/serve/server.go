@@ -30,7 +30,9 @@ type Server struct {
 	memo    circuitMemo
 	durable *durable // nil unless Config.DataDir is set
 	queue   chan *job
-	stats   *serverStats
+	reg     *obs.Registry // this daemon's instruments, m; see serverMetrics
+	m       *serverMetrics
+	started time.Time
 
 	// sweeps is the batch-sweep registry; sweepWG tracks the feeder and
 	// finalizer goroutines so Shutdown drains them with the workers.
@@ -62,19 +64,22 @@ type Server struct {
 // with Shutdown (tests included), or the workers leak.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	reg := obs.NewRegistry()
 	s := &Server{
-		cfg:    cfg,
-		store:  newJobStore(cfg.MaxJobs),
-		cache:  newLRU(cfg.CacheEntries),
-		memo:   newCircuitMemo(),
-		queue:  make(chan *job, cfg.QueueDepth),
-		stats:  newServerStats(),
-		sweeps: newSweepStore(),
+		cfg:     cfg,
+		store:   newJobStore(cfg.MaxJobs),
+		cache:   newLRU(cfg.CacheEntries),
+		memo:    newCircuitMemo(),
+		queue:   make(chan *job, cfg.QueueDepth),
+		reg:     reg,
+		m:       newServerMetrics(reg),
+		started: time.Now(),
+		sweeps:  newSweepStore(),
 	}
 	var pending []*journaledJob
 	if cfg.DataDir != "" {
 		var err error
-		s.durable, pending, err = openDurable(cfg)
+		s.durable, pending, err = openDurable(cfg, s.m)
 		if err != nil {
 			return nil, fmt.Errorf("serve: open data dir %s: %w", cfg.DataDir, err)
 		}
@@ -92,14 +97,16 @@ func New(cfg Config) (*Server, error) {
 		go func() {
 			defer s.workers.Done()
 			for j := range s.queue {
-				mQueueDepth.Set(float64(len(s.queue)))
-				s.runJob(j)
+				s.m.queueDepth.Set(float64(len(s.queue)))
+				j.endQueueWait(s.m.queueWait)
+				ent, hit, err := s.resolve(j)
+				s.finish(j, ent, hit, err)
 			}
 		}()
 	}
 	// Recovery happens with the workers already draining the queue, so a
-	// replay larger than the queue buffer cannot deadlock the blocking
-	// sends; Shutdown cannot race New's sends because the caller does not
+	// replay larger than the queue buffer waits for slots instead of
+	// deadlocking; Shutdown cannot race it because the caller does not
 	// hold the Server yet.
 	for _, jj := range pending {
 		s.recoverJob(jj)
@@ -112,7 +119,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recoverJob rebuilds one journaled job and re-enqueues it under its
+// recoverJob rebuilds one journaled job and admits it again under its
 // original id. Unrecoverable jobs (circuit blob lost, request no longer
 // valid) are marked terminal in the journal so they do not replay again.
 func (s *Server) recoverJob(jj *journaledJob) {
@@ -126,14 +133,9 @@ func (s *Server) recoverJob(jj *journaledJob) {
 		})
 		if err == nil {
 			j.id = jj.ID
-			mSubmitted.Inc()
-			mJobsRecovered.Inc()
-			s.stats.submitted.Add(1)
-			s.store.add(j)
-			j.publish(obs.Event{Kind: kindJobQueued})
-			j.beginQueueWait()
-			s.queue <- j
-			mQueueDepth.Set(float64(len(s.queue)))
+			j.journaled.Store(true) // the replayed accept record
+			s.m.jobsRecovered.Inc()
+			s.admit(j, nil, true)
 			return
 		}
 	}
@@ -255,7 +257,67 @@ func (s *Server) Run(ctx context.Context, addr string, grace time.Duration, star
 	return drainErr
 }
 
-// enqueue admits a job under the backpressure contract. It returns
+// admit is the one admission path, shared by HTTP submits, sweep cells
+// and journal recovery. It counts and registers the job, then answers it
+// on the caller's goroutine from the memory or disk cache when it can (a
+// hit finishes at once). Otherwise it write-ahead journals the job, unless
+// it already holds an accept record (recovery), and queues it. A full
+// queue answers 429 at once unless wait is set; then admission retries
+// until a slot frees, the job's deadline passes or the daemon drains. It
+// returns 200 when the job finished at admission, 202 when it is queued,
+// or 429, 503 or 500 when it was refused (finished cancelled) or could
+// not be journaled (finished failed).
+func (s *Server) admit(j *job, req *JobRequest, wait bool) int {
+	s.m.submitted.Inc()
+	s.store.add(j)
+	// A job whose context is already done (the unfed cells of a cancelled
+	// sweep) finishes here without reaching the journal.
+	if err := j.ctx.Err(); err != nil {
+		s.finish(j, nil, false, err)
+		return http.StatusOK
+	}
+	if ent, tier, ok := s.cacheGet(j.key); ok {
+		j.spanCacheLookup(tier)
+		s.finish(j, ent, true, nil)
+		return http.StatusOK
+	}
+	j.spanCacheLookup("miss")
+	// Write-ahead: the accept record must be durable before the job can
+	// reach a worker, or a fast solve could journal its terminal record
+	// first and the replay would resurrect a finished job.
+	if s.durable != nil && !j.journaled.Load() {
+		wal := j.span.Child("wal_accept")
+		err := s.durable.acceptJob(j, req)
+		wal.End()
+		if err != nil {
+			s.finish(j, nil, false, err)
+			return http.StatusInternalServerError
+		}
+		j.journaled.Store(true)
+	}
+	j.publish(obs.Event{Kind: kindJobQueued})
+	j.beginQueueWait()
+	code := s.enqueue(j)
+	for wait && code == http.StatusTooManyRequests {
+		select {
+		case <-j.ctx.Done():
+			s.finish(j, nil, false, j.ctx.Err())
+			return http.StatusOK
+		case <-time.After(5 * time.Millisecond):
+			code = s.enqueue(j)
+		}
+	}
+	switch code {
+	case http.StatusAccepted:
+		return code
+	case http.StatusTooManyRequests:
+		s.m.rejected.Inc()
+	}
+	s.finish(j, nil, false, context.Canceled)
+	return code
+}
+
+// enqueue offers a job to the queue without blocking. It returns
 // http.StatusAccepted on success, 503 while draining, or 429 when full.
 func (s *Server) enqueue(j *job) int {
 	s.qmu.Lock()
@@ -265,7 +327,7 @@ func (s *Server) enqueue(j *job) int {
 	}
 	select {
 	case s.queue <- j:
-		mQueueDepth.Set(float64(len(s.queue)))
+		s.m.queueDepth.Set(float64(len(s.queue)))
 		return http.StatusAccepted
 	default:
 		return http.StatusTooManyRequests
@@ -277,19 +339,17 @@ func (s *Server) enqueue(j *job) int {
 // the hint shrinks as the queue empties — at the recent mean job time,
 // bounded to [1, 60] seconds. Scaling with actual depth matters once
 // nodes are clustered: clients spraying a busy node back off in
-// proportion to its load instead of stampeding back in lockstep. Uses the
-// per-server stats, not the process-global histogram, which other servers
-// in the same process (tests run dozens) would pollute.
+// proportion to its load instead of stampeding back in lockstep.
 func (s *Server) retryAfterSeconds() int {
-	backlog := len(s.queue) + int(s.stats.inflight.Load())
+	backlog := len(s.queue) + int(s.m.inflight.Value())
 	if backlog < 1 {
 		backlog = 1
 	}
-	n := s.stats.jobSeconds.Count()
+	n := s.m.jobSeconds.Count()
 	if n == 0 {
 		return 1
 	}
-	mean := s.stats.jobSeconds.Sum() / float64(n)
+	mean := s.m.jobSeconds.Sum() / float64(n)
 	wait := mean * float64(backlog) / float64(s.cfg.Workers)
 	if wait < 1 {
 		return 1
@@ -300,131 +360,104 @@ func (s *Server) retryAfterSeconds() int {
 	return int(wait + 0.5)
 }
 
-// runJob executes one queued job end to end. Every terminal transition
-// goes through claimFinish (directly or via finishWithError): a job
-// reclaimed from a dead thief can race the thief's late complete, and
-// exactly one of the two may finish it.
-func (s *Server) runJob(j *job) {
-	defer j.cancel()
-	j.endQueueWait(s.stats)
-	// A second identical request may have been cached while this one
-	// waited in the queue; serve it from there instead of re-solving.
+// resolve answers one job, for a worker or a thief: from the memory, disk
+// or peer cache tier, in that order, or else by solving it and keeping the
+// result. It reports whether the entry came from a cache. It never
+// finishes the job; a worker passes the outcome to finish, a thief posts
+// it back to the job's owner.
+func (s *Server) resolve(j *job) (*cacheEntry, bool, error) {
 	if ent, tier, ok := s.cacheGet(j.key); ok {
-		if !j.claimFinish() {
-			return
-		}
 		j.spanCacheLookup(tier)
-		mCacheHits.Inc()
-		mCompleted.Inc()
-		s.stats.cacheHits.Add(1)
-		s.stats.completed.Add(1)
-		j.setRunning()
-		j.finishOK(ent.body, ent.labels, true)
-		s.journalFinish(j, StatusDone)
-		return
+		return ent, true, nil
 	}
-	// Third cache tier: a peer may have solved this key already. Runs
-	// before the miss is counted, so a peer hit keeps the invariant that
-	// every submission resolves as exactly one hit or one miss.
-	if ent, ok := s.peerFetch(j); ok {
-		if !j.claimFinish() {
-			return
-		}
+	if cb, ok := s.peerFetch(j); ok {
 		j.spanCacheLookup("peer")
-		mCacheHits.Inc()
-		mCompleted.Inc()
-		s.stats.cacheHits.Add(1)
-		s.stats.completed.Add(1)
-		j.setRunning()
-		j.finishOK(ent.body, ent.labels, true)
-		s.journalFinish(j, StatusDone)
-		return
+		return s.keep(j, cb.Body, cb.Labels), true, nil
 	}
 	j.spanCacheLookup("miss")
-	// This is the single miss-counting point: every submission resolves as
-	// exactly one hit (here or synchronously at submit) or one miss, so
-	// hits + misses never exceeds submissions. countMiss dedupes the
-	// re-run of a job that already counted its miss when it was stolen.
-	if j.countMiss() {
-		mCacheMisses.Inc()
-		s.stats.cacheMiss.Add(1)
-	}
+	s.countMiss(j)
 	if err := j.ctx.Err(); err != nil {
-		s.finishWithError(j, err)
-		return
+		return nil, false, err
 	}
 	j.setRunning()
-	mInflight.Add(1)
-	s.stats.inflight.Add(1)
+	s.m.inflight.Add(1)
 	start := time.Now()
 	solveSpan := j.span.Child("solve")
 	body, labels, err := s.solve(j, solveSpan)
 	solveSpan.End()
-	mInflight.Add(-1)
-	s.stats.inflight.Add(-1)
+	s.m.inflight.Add(-1)
 	if err != nil {
-		s.finishWithError(j, err)
-		return
+		return nil, false, err
 	}
 	elapsed := time.Since(start)
-	mJobSeconds.Observe(elapsed.Seconds())
-	s.stats.jobSeconds.Observe(elapsed.Seconds())
+	s.m.jobSeconds.Observe(elapsed.Seconds())
 	if s.cfg.SLOSolve > 0 {
 		if elapsed <= s.cfg.SLOSolve {
-			mSLOWithin.Inc()
-			s.stats.sloWithin.Add(1)
+			s.m.sloWithin.Inc()
 		} else {
-			mSLOBreached.Inc()
-			s.stats.sloBreach.Add(1)
+			s.m.sloBreached.Inc()
 		}
 	}
-	persist := j.span.Child("persist")
+	return s.keep(j, body, labels), false, nil
+}
+
+// countMiss books j's cache miss; finish books hits. A job counts its
+// first hit or miss only, so hits + misses never exceeds submissions, even
+// for a job that counted its miss when it was stolen and then ran again.
+func (s *Server) countMiss(j *job) {
+	if j.countLookup() {
+		s.m.cacheMisses.Inc()
+	}
+}
+
+// keep caches a result for j's key in memory and, when durable, on disk.
+// A concurrent finisher may already have won j; the entry stands anyway,
+// since every solve of one key produces the same bytes.
+func (s *Server) keep(j *job, body []byte, labels []int) *cacheEntry {
+	sp := j.span.Child("persist")
+	defer sp.End()
 	ent := &cacheEntry{key: j.key, body: body, labels: labels}
 	s.cache.put(ent)
 	if s.durable != nil {
 		s.durable.persistEntry(ent)
 	}
-	persist.End()
-	// The cache write above stands even if a thief's complete won the
-	// finish race while this re-solve ran — the bytes are identical.
-	if !j.claimFinish() {
-		return
-	}
-	mCompleted.Inc()
-	s.stats.completed.Add(1)
-	j.finishOK(body, labels, false)
-	s.journalFinish(j, StatusDone)
+	return ent
 }
 
-// finishWithError resolves a job as cancelled or failed. It reports
-// whether this caller won the finish claim; a false return means someone
-// else (a thief's complete, a concurrent re-solve) already finished the
-// job and nothing was recorded.
-func (s *Server) finishWithError(j *job, err error) bool {
+// finish is the one terminal transition: a job reclaimed from a dead
+// thief can race the thief's late complete, and claimFinish lets exactly
+// one of them through. The winner sets the job's state, books one outcome
+// counter (and a cache hit when the answer came from a cache), releases
+// the job's context, and writes the terminal journal record when the job
+// has an accept record, attaching the flight-recorder profile so replayed
+// history keeps a forensic trail. A false return means someone else
+// finished the job and nothing was recorded.
+func (s *Server) finish(j *job, ent *cacheEntry, hit bool, err error) bool {
 	if !j.claimFinish() {
 		return false
 	}
-	if errors.Is(err, context.Canceled) {
-		mCancelled.Inc()
-		s.stats.cancelled.Add(1)
-		j.finishErr(StatusCancelled, err)
-		s.journalFinish(j, StatusCancelled)
-		return true
+	defer j.cancel()
+	st := StatusDone
+	switch {
+	case err == nil:
+		s.m.completed.Inc()
+		if hit && j.countLookup() {
+			s.m.cacheHits.Inc()
+		}
+		j.finishOK(ent.body, ent.labels, hit)
+	case errors.Is(err, context.Canceled):
+		st = StatusCancelled
+		s.m.cancelled.Inc()
+		j.finishErr(st, err)
+	default:
+		st = StatusFailed
+		s.m.failed.Inc()
+		j.finishErr(st, err)
 	}
-	mFailed.Inc()
-	s.stats.failed.Add(1)
-	j.finishErr(StatusFailed, err)
-	s.journalFinish(j, StatusFailed)
-	return true
-}
-
-// journalFinish records a job's terminal state when running durable,
-// attaching the flight-recorder profile so crashed-and-replayed history
-// keeps a forensic trail of how each job actually ran.
-func (s *Server) journalFinish(j *job, st Status) {
-	if s.durable != nil {
+	if j.journaled.Load() {
 		s.durable.finishJob(j.id, st, j.profileJSON())
 	}
+	return true
 }
 
 // solve runs the job's configured solver flavor and marshals the result

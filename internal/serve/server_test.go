@@ -157,8 +157,8 @@ func slowReq(seed int64) JobRequest {
 }
 
 func TestSubmitSolveAndCacheHit(t *testing.T) {
-	_, base := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	hits0, misses0 := mCacheHits.Value(), mCacheMisses.Value()
+	s, base := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	hits0, misses0 := s.m.cacheHits.Value(), s.m.cacheMisses.Value()
 
 	code, sb, _ := postJob(t, base, fastReq(1))
 	if code != http.StatusAccepted {
@@ -197,10 +197,10 @@ func TestSubmitSolveAndCacheHit(t *testing.T) {
 	if !bytes.Equal(cold, hot) {
 		t.Fatalf("cache hit is not byte-identical to the cold solve:\ncold: %s\nhot:  %s", cold, hot)
 	}
-	if d := mCacheHits.Value() - hits0; d != 1 {
+	if d := s.m.cacheHits.Value() - hits0; d != 1 {
 		t.Errorf("gpp_serve_cache_hits_total advanced by %d, want 1", d)
 	}
-	if d := mCacheMisses.Value() - misses0; d != 1 {
+	if d := s.m.cacheMisses.Value() - misses0; d != 1 {
 		t.Errorf("gpp_serve_cache_misses_total advanced by %d, want 1", d)
 	}
 }
@@ -265,8 +265,8 @@ func TestOptionSpellingsShareCacheEntry(t *testing.T) {
 }
 
 func TestQueueOverflow429(t *testing.T) {
-	_, base := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	rejected0 := mRejected.Value()
+	s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	rejected0 := s.m.rejected.Value()
 
 	codeA, a, _ := postJob(t, base, slowReq(101))
 	if codeA != http.StatusAccepted {
@@ -288,7 +288,7 @@ func TestQueueOverflow429(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Fatalf("429 Retry-After = %q, want an integer ≥ 1", hdr.Get("Retry-After"))
 	}
-	if d := mRejected.Value() - rejected0; d != 1 {
+	if d := s.m.rejected.Value() - rejected0; d != 1 {
 		t.Errorf("gpp_serve_queue_rejected_total advanced by %d, want 1", d)
 	}
 
@@ -324,8 +324,8 @@ func TestQueueOverflow429(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	_, base := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	cancelled0 := mCancelled.Value()
+	s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	cancelled0 := s.m.cancelled.Value()
 	_, sb, _ := postJob(t, base, slowReq(201))
 	waitRunning(t, base, sb.ID)
 
@@ -342,7 +342,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if st.Status != StatusCancelled {
 		t.Fatalf("job ended %s (%s), want cancelled", st.Status, st.Error)
 	}
-	if d := mCancelled.Value() - cancelled0; d != 1 {
+	if d := s.m.cancelled.Value() - cancelled0; d != 1 {
 		t.Errorf("gpp_serve_jobs_cancelled_total advanced by %d, want 1", d)
 	}
 	// A second cancel conflicts, and the result endpoint refuses.

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
-	"gpp/internal/def"
 	"gpp/internal/obs"
 	"gpp/internal/partition"
 	"gpp/internal/sweep"
@@ -28,12 +24,13 @@ import (
 // Lifecycle: the submit handler validates the whole matrix up front (every
 // cell must pass makeJob, so one bad term name rejects the sweep with the
 // registered-terms message), then a feeder goroutine admits cells in order
-// — cache hits complete synchronously, misses enqueue with retry under
-// backpressure — while watcher goroutines forward each cell's progress
-// events onto the sweep's own SSE broker (Event.Restart carries the cell
-// index). When the last cell is terminal the finalizer ranks the
-// non-failed cells and computes the (cost, b_max) Pareto front; failed or
-// cancelled cells are reported with their errors and excluded from both.
+// through the daemon's one admission path — cache hits complete
+// synchronously, misses wait for a queue slot under backpressure — while
+// watcher goroutines forward each cell's progress events onto the sweep's
+// own SSE broker (Event.Restart carries the cell index). When the last
+// cell is terminal the finalizer ranks the non-failed cells and computes
+// the (cost, b_max) Pareto front; failed or cancelled cells are reported
+// with their errors and excluded from both.
 
 // Sweep lifecycle event kinds on the sweep's SSE stream. Cell-scoped kinds
 // set Event.Restart to the cell index (same convention as portfolio
@@ -102,12 +99,6 @@ type sweepRun struct {
 	finished  time.Time
 }
 
-func (sr *sweepRun) isCancelled() bool {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.cancelled
-}
-
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "daemon is draining")
@@ -123,9 +114,9 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	ref, name, err := s.resolveSweepCircuit(&req)
+	ref, name, code, err := s.resolveCircuit(&JobRequest{Circuit: req.Circuit, DEF: req.DEF})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, code, "%v", err)
 		return
 	}
 	cells, err := sweep.Expand(req.Spec, req.K)
@@ -176,107 +167,19 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.sweepJSON(sr))
 }
 
-// resolveSweepCircuit resolves the sweep's input circuit (benchmark name
-// through the circuit memo, or inline DEF; sweeps have no from_job — cells
-// reference each other by cache key already).
-func (s *Server) resolveSweepCircuit(req *SweepRequest) (*circuitRef, string, error) {
-	switch {
-	case req.Circuit != "" && req.DEF != "":
-		return nil, "", fmt.Errorf("exactly one of circuit, def must be set")
-	case req.Circuit != "":
-		ref, err := s.memo.get(req.Circuit)
-		if err != nil {
-			return nil, "", err
-		}
-		return ref, ref.circuit.Name, nil
-	case req.DEF != "":
-		d, err := def.Parse(strings.NewReader(req.DEF))
-		if err != nil {
-			return nil, "", err
-		}
-		c, err := def.ToCircuit(d, s.cfg.Library)
-		if err != nil {
-			return nil, "", err
-		}
-		return newCircuitRef(c), c.Name, nil
-	default:
-		return nil, "", fmt.Errorf("exactly one of circuit, def must be set")
-	}
-}
-
 // runSweep is the feeder + finalizer: admit cells in matrix order, watch
-// each to termination, then rank.
+// each to termination, then rank. Cells of a cancelled sweep finish at
+// admission, their contexts already cancelled.
 func (s *Server) runSweep(sr *sweepRun) {
 	defer s.sweepWG.Done()
 	var watchers sync.WaitGroup
 	for _, sc := range sr.cells {
-		if sr.isCancelled() {
-			sc.job.cancel()
-			if sc.job.claimFinish() {
-				sc.job.finishErr(StatusCancelled, context.Canceled)
-			}
-		} else {
-			s.admitCell(sc.job, sc.req)
-		}
+		s.admit(sc.job, sc.req, true)
 		watchers.Add(1)
 		go s.watchCell(sr, sc, &watchers)
 	}
 	watchers.Wait()
 	s.finalizeSweep(sr)
-}
-
-// admitCell is the sweep-side mirror of handleSubmit's admission: cache
-// hits (memory or disk) complete the cell synchronously, misses are
-// write-ahead journaled and enqueued. Under backpressure (429) the feeder
-// retries until a slot frees, the cell's own deadline fires, or the daemon
-// drains — a sweep wider than the queue must not deadlock it, just feed it.
-func (s *Server) admitCell(j *job, req *JobRequest) {
-	mSubmitted.Inc()
-	s.stats.submitted.Add(1)
-	if ent, tier, ok := s.cacheGet(j.key); ok {
-		j.spanCacheLookup(tier)
-		mCacheHits.Inc()
-		mCompleted.Inc()
-		s.stats.cacheHits.Add(1)
-		s.stats.completed.Add(1)
-		j.cancel()
-		s.store.add(j)
-		j.finishOK(ent.body, ent.labels, true)
-		return
-	}
-	j.spanCacheLookup("miss")
-	if s.durable != nil {
-		wal := j.span.Child("wal_accept")
-		err := s.durable.acceptJob(j, req)
-		wal.End()
-		if err != nil {
-			j.cancel()
-			if j.claimFinish() {
-				j.finishErr(StatusFailed, err)
-			}
-			return
-		}
-	}
-	s.store.add(j)
-	j.publish(obs.Event{Kind: kindJobQueued})
-	j.beginQueueWait()
-	for {
-		switch s.enqueue(j) {
-		case http.StatusAccepted:
-			return
-		case http.StatusServiceUnavailable:
-			j.cancel()
-			s.finishWithError(j, context.Canceled)
-			return
-		default: // queue full: wait for a slot
-			select {
-			case <-j.ctx.Done():
-				s.finishWithError(j, j.ctx.Err())
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-	}
 }
 
 // watchCell forwards one cell's progress events onto the sweep stream
@@ -415,12 +318,6 @@ func (s *Server) sweepJSON(sr *sweepRun) sweepStatusBody {
 	if body.RankBy == "" {
 		body.RankBy = sweep.RankByCost
 	}
-	stamp := func(t time.Time) string {
-		if t.IsZero() {
-			return ""
-		}
-		return t.UTC().Format(time.RFC3339Nano)
-	}
 	body.Submitted, body.Finished = stamp(submitted), stamp(finished)
 	for _, sc := range sr.cells {
 		st, _, errMsg, _, _, _, _, _ := sc.job.snapshot()
@@ -497,50 +394,8 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 // the sweep's own cell_done/cell_failed markers, and a terminal "status"
 // frame carrying the ranked sweep document.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sr, ok := s.sweepFor(w, r)
-	if !ok {
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	replay, ch, detach := sr.broker.subscribe()
-	defer detach()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	var scratch []byte
-	for _, e := range replay {
-		scratch = writeSSE(w, scratch, e)
-	}
-	flusher.Flush()
-	var keepalive <-chan time.Time
-	if s.cfg.SSEKeepalive > 0 {
-		t := time.NewTicker(s.cfg.SSEKeepalive)
-		defer t.Stop()
-		keepalive = t.C
-	}
-	for {
-		select {
-		case e, open := <-ch:
-			if !open {
-				doc, err := json.Marshal(s.sweepJSON(sr))
-				if err == nil {
-					fmt.Fprintf(w, "event: status\ndata: %s\n\n", doc)
-				}
-				flusher.Flush()
-				return
-			}
-			scratch = writeSSE(w, scratch, e)
-			flusher.Flush()
-		case <-keepalive:
-			fmt.Fprint(w, ": keepalive\n\n")
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
+	if sr, ok := s.sweepFor(w, r); ok {
+		s.streamSSE(w, r, sr.broker, func() any { return s.sweepJSON(sr) })
 	}
 }
 
