@@ -38,7 +38,7 @@ check:
 	$(GO) -C perfbench vet ./...
 	$(GO) test -short -race ./...
 	$(GO) -C perfbench test ./...
-	$(GO) test -run xxx -bench 'SolveTrace|JSONLEmit' -benchtime 1x ./internal/partition ./internal/obs
+	$(GO) test -run xxx -bench 'SolveTrace|JSONLEmit|CacheHit' -benchtime 1x ./internal/partition ./internal/obs ./internal/serve
 	$(MAKE) bench-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) serve-smoke
@@ -79,9 +79,11 @@ bench-smoke:
 # Telemetry overhead benchmarks: SolveTraceOff vs SolveTraceNop bounds the
 # cost of the instrumentation hooks with tracing off (must stay <2% and
 # alloc-free — TestSolveIterationPathAllocFree guards the alloc half);
-# SolveTraceJSONL and JSONLEmit price the enabled path.
+# SolveTraceJSONL and JSONLEmit price the enabled path. CacheHit prices
+# gpp-serve's cache-hit path, job event log included, in B/op and
+# allocs/op.
 obs-bench:
-	$(GO) test -run xxx -bench 'SolveTrace|JSONLEmit' -benchmem ./internal/partition ./internal/obs
+	$(GO) test -run xxx -bench 'SolveTrace|JSONLEmit|CacheHit' -benchmem ./internal/partition ./internal/obs ./internal/serve
 
 # End-to-end observability smoke (DESIGN.md §13): boots a real gpp-serve
 # with tracing and an SLO configured, runs one job, and asserts the span

@@ -105,7 +105,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight jobs")
 	dataDir := flag.String("data-dir", "", "durable state directory: persists the result cache and write-ahead job journal across restarts (empty = in-memory)")
 	storeMax := flag.Int64("store-max-bytes", 0, "blob-store size budget enforced at boot, oldest entries evicted first (0 = unbounded; needs -data-dir)")
-	flightRec := flag.Int("flight-recorder", 0, "per-job flight-recorder ring size in events (0 = default 256, negative disables tracing)")
+	flightRec := flag.Int("flight-recorder", 0, "per-job profile window in events, grown on demand (0 = default 256, negative disables tracing)")
 	sloSolve := flag.Duration("slo-solve-ms", 0, "solve-latency SLO; jobs finishing over it count toward gpp_serve_slo_breached_total (0 disables)")
 	sseKeepalive := flag.Duration("sse-keepalive", 0, "SSE comment-line heartbeat interval on /events (0 = default 15s, negative disables)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs; joining a cluster routes jobs to their consistent-hash owner")

@@ -173,62 +173,96 @@ func (s *Span) End() {
 	s.tr.sink.Emit(e)
 }
 
-// FlightRecorder is a bounded in-memory Tracer: a ring buffer of the most
-// recent events. The serve daemon attaches one per job so every job —
-// including one that failed or was cancelled — carries a retrievable
-// post-mortem of its recent spans and solver events, with memory bounded
-// regardless of solve length.
+// FlightRecorder is a bounded in-memory Tracer: a log of the most recent
+// events. The serve daemon keeps one per job, so every job — including
+// one that failed or was cancelled — carries a retrievable post-mortem of
+// its recent spans and solver events, with memory bounded regardless of
+// solve length. Storage is allocated on the first Emit and grows with
+// what is recorded, never past the capacity; a full recorder becomes a
+// ring that overwrites its oldest event in place.
 type FlightRecorder struct {
 	mu      sync.Mutex
-	buf     []Event
-	next    int // write index
-	n       int // valid entries
+	size    int     // capacity: the most events retained
+	buf     []Event // grows by append to size, then wraps
+	next    int     // oldest slot once buf is full (the next overwrite)
 	dropped int64
 }
 
-// DefaultFlightRecorderCap is the ring size NewFlightRecorder uses for
+// DefaultFlightRecorderCap is the capacity NewFlightRecorder uses for
 // capacity ≤ 0: enough for a full job lifecycle (spans, lifecycle events,
 // throttled iteration samples) without unbounded growth.
 const DefaultFlightRecorderCap = 256
 
+// minFlightGrow is the first allocation: a cache-hit job records four
+// events, and a cold one grows from here by doubling.
+const minFlightGrow = 4
+
 // NewFlightRecorder returns a recorder keeping the last capacity events
-// (capacity ≤ 0 means DefaultFlightRecorderCap).
+// (capacity ≤ 0 means DefaultFlightRecorderCap). It allocates no event
+// storage until the first Emit.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightRecorderCap
 	}
-	return &FlightRecorder{buf: make([]Event, capacity)}
+	return &FlightRecorder{size: capacity}
 }
 
-// Emit records the event, evicting the oldest when the ring is full.
+// Emit records the event, evicting the oldest when the recorder is full.
+// Below capacity the storage doubles when it runs out (capped at the
+// capacity); at capacity an Emit allocates nothing.
 func (r *FlightRecorder) Emit(e Event) {
 	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	} else {
+	switch n := len(r.buf); {
+	case n == r.size:
+		r.buf[r.next] = e
+		if r.next++; r.next == r.size {
+			r.next = 0
+		}
 		r.dropped++
+	case n == cap(r.buf):
+		grown := make([]Event, n, min(max(2*n, minFlightGrow), r.size))
+		copy(grown, r.buf)
+		r.buf = append(grown, e)
+	default:
+		r.buf = append(r.buf, e)
 	}
 	r.mu.Unlock()
 }
 
 // Snapshot returns the retained events oldest-first plus how many older
-// events the ring has evicted.
+// events the recorder has evicted.
 func (r *FlightRecorder) Snapshot() (events []Event, dropped int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	events = make([]Event, 0, r.n)
-	start := (r.next - r.n + len(r.buf)) % len(r.buf)
-	for i := 0; i < r.n; i++ {
-		events = append(events, r.buf[(start+i)%len(r.buf)])
-	}
-	return events, r.dropped
+	return r.Last(r.size)
 }
 
-// Len reports how many events the ring currently retains.
+// Last returns the newest n retained events oldest-first, plus how many
+// recorded events precede them — evicted, or retained but older than the
+// n returned.
+func (r *FlightRecorder) Last(n int) (events []Event, dropped int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	held := len(r.buf)
+	n = max(min(n, held), 0)
+	events = make([]Event, 0, n)
+	// Logical index i (0 = oldest retained) lives in slot (next+i) mod
+	// held; next is 0 until the recorder first wraps.
+	for i := held - n; i < held; i++ {
+		events = append(events, r.buf[(r.next+i)%held])
+	}
+	return events, r.dropped + int64(held-n)
+}
+
+// Slots reports how many events the recorder's storage holds before it
+// next grows: its memory footprint in events, at most the capacity.
+func (r *FlightRecorder) Slots() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return cap(r.buf)
+}
+
+// Len reports how many events the recorder currently retains.
 func (r *FlightRecorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return len(r.buf)
 }

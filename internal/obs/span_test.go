@@ -169,6 +169,90 @@ func TestFlightRecorderDefaultCap(t *testing.T) {
 	}
 }
 
+// eagerRing is the reference recorder: the whole ring allocated up
+// front, evicting the oldest event once full.
+type eagerRing struct {
+	buf     []Event
+	next, n int
+	dropped int64
+}
+
+func (r *eagerRing) emit(e Event) {
+	r.buf[r.next] = e
+	r.next = (r.next + 1) % len(r.buf)
+	if r.n < len(r.buf) {
+		r.n++
+	} else {
+		r.dropped++
+	}
+}
+
+func (r *eagerRing) snapshot() ([]Event, int64) {
+	out := make([]Event, 0, r.n)
+	start := (r.next - r.n + len(r.buf)) % len(r.buf)
+	for i := 0; i < r.n; i++ {
+		out = append(out, r.buf[(start+i)%len(r.buf)])
+	}
+	return out, r.dropped
+}
+
+// TestFlightRecorderGrowsOnDemand: a fresh recorder holds no storage, the
+// storage never outgrows the capacity, at every checkpoint the recorder
+// keeps exactly what an eagerly allocated ring keeps, and once full it
+// records without allocating.
+func TestFlightRecorderGrowsOnDemand(t *testing.T) {
+	for _, capacity := range []int{1, 3, 32, 100, 256, 1000} {
+		r := NewFlightRecorder(capacity)
+		if r.Slots() != 0 || r.buf != nil {
+			t.Fatalf("cap %d: fresh recorder holds %d slots", capacity, r.Slots())
+		}
+		ref := &eagerRing{buf: make([]Event, capacity)}
+		checkpoints := map[int]bool{0: true, 1: true, 2: true, 5: true,
+			capacity - 1: true, capacity: true, capacity + 1: true,
+			2*capacity - 1: true, 2 * capacity: true, 3 * capacity: true}
+		for n := 0; n <= 3*capacity; n++ {
+			if n > 0 {
+				e := Event{Kind: KindIter, Iter: n, Span: strings.Repeat("s", n%7)}
+				r.Emit(e)
+				ref.emit(e)
+			}
+			if got := r.Slots(); got > capacity {
+				t.Fatalf("cap %d after %d emits: %d slots", capacity, n, got)
+			}
+			if !checkpoints[n] {
+				continue
+			}
+			got, gotDropped := r.Snapshot()
+			want, wantDropped := ref.snapshot()
+			if len(got) != len(want) || gotDropped != wantDropped || r.Len() != len(want) {
+				t.Fatalf("cap %d after %d emits: %d events (Len %d) dropped %d, want %d dropped %d",
+					capacity, n, len(got), r.Len(), gotDropped, len(want), wantDropped)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("cap %d after %d emits: event %d = %+v, want %+v", capacity, n, i, got[i], want[i])
+				}
+			}
+			for _, k := range []int{0, 1, capacity / 2, capacity, capacity + 5} {
+				last, lastDropped := r.Last(k)
+				keep := min(k, len(want))
+				if len(last) != keep || lastDropped != wantDropped+int64(len(want)-keep) {
+					t.Fatalf("cap %d after %d emits: Last(%d) = %d events dropped %d", capacity, n, k, len(last), lastDropped)
+				}
+				for i := range last {
+					if last[i] != want[len(want)-keep+i] {
+						t.Fatalf("cap %d after %d emits: Last(%d)[%d] differs", capacity, n, k, i)
+					}
+				}
+			}
+		}
+		e := Event{Kind: KindSpan, Span: "solve"}
+		if allocs := testing.AllocsPerRun(100, func() { r.Emit(e) }); allocs != 0 {
+			t.Errorf("cap %d: Emit into a full recorder allocates %.1f", capacity, allocs)
+		}
+	}
+}
+
 func TestLogBuckets(t *testing.T) {
 	b := LogBuckets(0.001, 60, 3)
 	if b[0] != 0.001 {

@@ -237,6 +237,9 @@ func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.m.queueDepth.Set(float64(len(s.queue)))
+		if !j.leaveQueue() {
+			continue // cancelled while queued: already finished
+		}
 		j.endQueueWait(s.m.queueWait)
 		if err := j.ctx.Err(); err != nil {
 			s.finish(j, nil, false, err)
@@ -288,7 +291,7 @@ func (s *Server) grantSteal(j *job, thief string) ([]byte, error) {
 	sp := j.span.Child("steal_handoff")
 	sp.Attr("thief", thief)
 	sp.End()
-	j.publish(obs.Event{Kind: kindJobStolen})
+	j.broker.publish(obs.Event{Kind: kindJobStolen})
 	j.setRunning()
 	s.stolenMu.Lock()
 	s.stolen[j.id] = &stolenJob{j: j, thief: thief,
@@ -529,7 +532,7 @@ func (s *Server) reclaimExpired(retryAfter time.Duration) {
 		sp := j.span.Child("steal_reclaim")
 		sp.Attr("thief", sj.thief)
 		sp.End()
-		j.publish(obs.Event{Kind: kindJobReclaimed})
+		j.broker.publish(obs.Event{Kind: kindJobReclaimed})
 		j.beginQueueWait()
 		code := s.enqueue(j)
 		if code == http.StatusAccepted {

@@ -148,15 +148,12 @@ func (d *durable) loadCircuit(jj *journaledJob) (*netlist.Circuit, error) {
 }
 
 // acceptJob write-ahead-logs an accepted job: circuit into the blob
-// store (content-addressed, deduped), accept record fsync'd into the
-// journal. Called before the 202 is written; an error here fails the
-// submission rather than accepting a job that could not be made durable.
+// store (content-addressed, deduped, and written once per shared ref),
+// accept record fsync'd into the journal. Called before the 202 is
+// written; an error here fails the submission rather than accepting a job
+// that could not be made durable.
 func (d *durable) acceptJob(j *job, req *JobRequest) error {
-	circJSON, err := json.Marshal(j.ref.circuit)
-	if err != nil {
-		return fmt.Errorf("serve: journal circuit: %w", err)
-	}
-	blobKey, err := d.blobs.Put(circJSON)
+	blobKey, err := j.ref.saveBlob(d.blobs)
 	if err != nil {
 		return fmt.Errorf("serve: journal circuit: %w", err)
 	}

@@ -363,7 +363,7 @@ func (s *Server) makeJob(ref *circuitRef, name string, req *JobRequest) (*job, i
 		req:         &reqCopy,
 		ctx:         ctx,
 		cancel:      cancel,
-		broker:      newBroker(),
+		broker:      newBroker(s.cfg.FlightRecorder),
 	}
 	j.mu.Lock()
 	j.status = StatusQueued
@@ -505,7 +505,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s already %s", j.id, status)
 		return
 	}
-	j.cancel()
+	s.cancelJob(j)
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "status": "cancelling"})
 }
 
@@ -607,15 +607,15 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, b *broker, do
 	}
 }
 
-// handleProfile serves the job's flight-recorder contents: the recent
-// spans and events as JSON (the default), or the reconstructed span
-// waterfall as text with ?format=text.
+// handleProfile serves the job's profile, the newest events of its log:
+// the recent spans and events as JSON (the default), or the
+// reconstructed span waterfall as text with ?format=text.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(w, r)
 	if !ok {
 		return
 	}
-	if j.rec == nil {
+	if j.profileCap == 0 {
 		writeError(w, http.StatusNotFound, "flight recorder disabled (start the daemon without -flight-recorder=-1)")
 		return
 	}

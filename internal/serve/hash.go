@@ -4,12 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"gpp/internal/multilevel"
 	"gpp/internal/netlist"
 	"gpp/internal/partition"
+	"gpp/internal/store"
 )
 
 // CircuitHash returns the hex sha256 of the circuit's canonical bytes
@@ -34,11 +37,38 @@ const keyPrefix = "gpp-serve-v1\n"
 // the CircuitHash and the sha256 state after keyPrefix ‖ canonical bytes,
 // from which every cache key on this circuit resumes. A ref and its
 // circuit are read-only once built — jobs, sweeps and the circuit memo
-// share them across goroutines.
+// share them across goroutines — except for the journal blob key, which
+// the first durable accept sets (see saveBlob).
 type circuitRef struct {
 	circuit  *netlist.Circuit
 	hash     string
 	keyState []byte // sha256 midstate, crypto/sha256's BinaryMarshaler form
+
+	blobMu  sync.Mutex
+	blobKey string // the circuit's JSON blob key once written; "" before
+}
+
+// saveBlob stores the circuit's JSON in the blob store and returns its
+// content key, the journal's circuit_blob. A ref writes its blob once per
+// process: a memo'd circuit is marshaled, hashed and written on its first
+// durable accept only, and a failed write is retried by the next accept.
+// Concurrent first accepts wait for one write.
+func (r *circuitRef) saveBlob(blobs store.Backend) (string, error) {
+	r.blobMu.Lock()
+	defer r.blobMu.Unlock()
+	if r.blobKey != "" {
+		return r.blobKey, nil
+	}
+	data, err := json.Marshal(r.circuit)
+	if err != nil {
+		return "", err
+	}
+	key, err := blobs.Put(data)
+	if err != nil {
+		return "", err
+	}
+	r.blobKey = key
+	return key, nil
 }
 
 // newCircuitRef encodes the circuit canonically once and derives both

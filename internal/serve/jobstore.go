@@ -72,16 +72,17 @@ type job struct {
 	// terminal record.
 	journaled atomic.Bool
 
-	// Per-job tracing (nil when Config.FlightRecorder < 0): the ring of
-	// recent events, the timed span trace feeding it, the root "job"
-	// span, and the in-flight queue_wait span. spanQueue and enqueued are
-	// written by the submitter before the queue send and read by the
-	// worker after the receive — the channel is the happens-before edge.
-	rec       *obs.FlightRecorder
-	trace     *obs.Trace
-	span      *obs.Span
-	spanQueue *obs.Span
-	enqueued  time.Time
+	// Per-job tracing (zero when Config.FlightRecorder < 0): how many of
+	// the newest events in the broker's log the profile shows, the timed
+	// span trace feeding that log, the root "job" span, and the in-flight
+	// queue_wait span. spanQueue and enqueued are written by the
+	// submitter before the queue send and read by the job's one taker
+	// after leaveQueue (see enqueue).
+	profileCap int
+	trace      *obs.Trace
+	span       *obs.Span
+	spanQueue  *obs.Span
+	enqueued   time.Time
 
 	mu        sync.Mutex
 	status    Status
@@ -100,6 +101,22 @@ type job struct {
 	// hit-or-miss count across a steal + reclaim re-run.
 	finishing     bool
 	lookupCounted bool
+
+	// inQueue is set while the job waits in the queue channel; see
+	// leaveQueue.
+	inQueue bool
+}
+
+// leaveQueue claims a queued job for its one taker: the worker or steal
+// handler that received it, or cancelJob finishing it where it waits. It
+// reports true once per enqueue, and never for a job whose finish is
+// already claimed, so a taker that gets false leaves the job alone.
+func (j *job) leaveQueue() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	took := j.inQueue && !j.finishing && !j.status.terminal()
+	j.inQueue = false
+	return took
 }
 
 // claimFinish atomically claims the right to finish this job; exactly one
@@ -147,7 +164,7 @@ func (j *job) setRunning() {
 	j.status = StatusRunning
 	j.started = time.Now()
 	j.mu.Unlock()
-	j.publish(obs.Event{Kind: kindJobRunning})
+	j.broker.publish(obs.Event{Kind: kindJobRunning})
 }
 
 // finishOK publishes the result and closes the progress stream. The root
@@ -162,9 +179,9 @@ func (j *job) finishOK(body []byte, labels []int, fromCache bool) {
 	j.mu.Unlock()
 	j.endRootSpan(StatusDone, fromCache)
 	if fromCache {
-		j.publish(obs.Event{Kind: kindJobCacheHit})
+		j.broker.publish(obs.Event{Kind: kindJobCacheHit})
 	}
-	j.publish(obs.Event{Kind: kindJobDone})
+	j.broker.publish(obs.Event{Kind: kindJobDone})
 	j.broker.close()
 }
 
@@ -180,31 +197,42 @@ func (j *job) finishErr(status Status, err error) {
 	if status == StatusCancelled {
 		kind = kindJobCancelled
 	}
-	j.publish(obs.Event{Kind: kind})
+	j.broker.publish(obs.Event{Kind: kind})
 	j.broker.close()
 }
 
-// broker fans a job's progress events out to any number of SSE
-// subscribers. Publishes never block the solver: each subscriber has a
-// buffered channel and slow consumers drop events (the history replay and
-// the terminal status frame still give them a complete picture).
+// broker is a job's (or a sweep's) one event log plus the SSE subscribers
+// following it live. Every event is stored once, in log, which grows with
+// what is recorded up to its capacity and then drops its oldest events;
+// it backs the SSE replay and, for a job, the profile, the ops waterfalls
+// and the terminal journal record. Close seals the log: a finished job's
+// profile is final, and events a losing finisher publishes afterwards (a
+// cluster steal race) are dropped. Publishes never block the solver: each
+// subscriber has a buffered channel and slow consumers drop events (the
+// replay and the terminal status frame still give them a complete
+// picture).
 type broker struct {
+	log *obs.FlightRecorder
+
 	mu     sync.Mutex
-	hist   []obs.Event
-	subs   map[chan obs.Event]struct{}
+	subs   map[chan obs.Event]struct{} // nil until the first subscriber
 	closed bool
 }
 
-// histCap bounds the replay history. With the default iter throttle a
-// 4000-iteration solve publishes ~170 events, so the cap is headroom, not
-// a working limit; when it overflows the oldest events roll off.
+// histCap is the replay depth and the smallest log capacity. With the
+// default iter throttle a 4000-iteration solve publishes ~170 events, so
+// the cap is headroom, not a working limit; past it the oldest events
+// roll off.
 const histCap = 1024
 
 // subBuf is each subscriber's channel depth.
 const subBuf = 256
 
-func newBroker() *broker {
-	return &broker{subs: make(map[chan obs.Event]struct{})}
+// newBroker returns a broker whose log holds the newest
+// max(capacity, histCap) events; a job passes its profile window
+// (Config.FlightRecorder), so one log serves the replay and the profile.
+func newBroker(capacity int) *broker {
+	return &broker{log: obs.NewFlightRecorder(max(capacity, histCap))}
 }
 
 func (b *broker) publish(e obs.Event) {
@@ -213,12 +241,7 @@ func (b *broker) publish(e obs.Event) {
 	if b.closed {
 		return
 	}
-	if len(b.hist) == histCap {
-		copy(b.hist, b.hist[1:])
-		b.hist[histCap-1] = e
-	} else {
-		b.hist = append(b.hist, e)
-	}
+	b.log.Emit(e)
 	for ch := range b.subs {
 		select {
 		case ch <- e:
@@ -227,17 +250,21 @@ func (b *broker) publish(e obs.Event) {
 	}
 }
 
-// subscribe returns the history so far plus a live channel. The channel is
-// closed when the job finishes; if it already has, the returned channel is
-// closed immediately and the history is complete. cancel detaches early.
+// subscribe returns the newest histCap events so far plus a live channel.
+// The channel is closed when the job finishes; if it already has, the
+// returned channel is closed immediately and the replay is complete.
+// cancel detaches early.
 func (b *broker) subscribe() (replay []obs.Event, ch chan obs.Event, cancel func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replay = append([]obs.Event(nil), b.hist...)
+	replay, _ = b.log.Last(histCap)
 	ch = make(chan obs.Event, subBuf)
 	if b.closed {
 		close(ch)
 		return replay, ch, func() {}
+	}
+	if b.subs == nil {
+		b.subs = make(map[chan obs.Event]struct{})
 	}
 	b.subs[ch] = struct{}{}
 	return replay, ch, func() {

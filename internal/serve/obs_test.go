@@ -158,7 +158,7 @@ func TestTracingDisabled(t *testing.T) {
 	if !ok {
 		t.Fatal("job vanished from the store")
 	}
-	if j.rec != nil || j.trace != nil || j.span != nil {
+	if j.profileCap != 0 || j.trace != nil || j.span != nil {
 		t.Fatal("tracing state attached despite FlightRecorder: -1")
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -12,39 +12,27 @@ import (
 
 // Per-job observability: every accepted job carries a timed span trace
 // (HTTP accept → queue wait → cache lookup → WAL append → solve →
-// persist, linking into the solver's own descent/vcycle spans) recorded
-// into a bounded flight recorder alongside its lifecycle and throttled
-// solver events. The ring is served by GET /v1/jobs/{id}/profile, fanned
-// into the SSE stream, rendered as waterfalls on /v1/debug/ops, and
-// persisted with the terminal journal record so a crashed daemon keeps a
-// forensic trail of its recent jobs.
+// persist, linking into the solver's own descent/vcycle spans) recorded,
+// with its lifecycle and throttled solver events, into the job's one
+// event log (the broker's). The newest Config.FlightRecorder events of
+// that log are the job's profile: served by GET /v1/jobs/{id}/profile,
+// rendered as waterfalls on /v1/debug/ops, and persisted with the
+// terminal journal record so a crashed daemon keeps a forensic trail of
+// its recent jobs; the SSE stream replays the same log.
 
-// initTracing attaches the flight recorder and opens the job's root span.
-// With tracing disabled (Config.FlightRecorder < 0) everything stays nil
-// and every span operation on the job is a nil-receiver no-op.
+// initTracing opens the job's span trace into its event log and its root
+// span. With tracing disabled (Config.FlightRecorder < 0) the log still
+// serves the SSE stream, the profile is off, and every span operation on
+// the job is a nil-receiver no-op.
 func (s *Server) initTracing(j *job) {
 	if s.cfg.FlightRecorder < 0 {
 		return
 	}
-	j.rec = obs.NewFlightRecorder(s.cfg.FlightRecorder)
-	rec, br := j.rec, j.broker
-	j.trace = obs.NewTrace(obs.TracerFunc(func(e obs.Event) {
-		rec.Emit(e)
-		br.publish(e)
-	})).Timed()
+	j.profileCap = s.cfg.FlightRecorder
+	j.trace = obs.NewTrace(obs.TracerFunc(j.broker.publish)).Timed()
 	j.span = j.trace.Root("job")
 	j.span.Attr("circuit", j.circuitName)
 	j.span.AttrInt("k", int64(j.k))
-}
-
-// publish mirrors an event into both the progress broker and the flight
-// recorder — lifecycle events use it so a profile reads as one ordered
-// stream.
-func (j *job) publish(e obs.Event) {
-	if j.rec != nil {
-		j.rec.Emit(e)
-	}
-	j.broker.publish(e)
 }
 
 // beginQueueWait opens the queue_wait span and stamps the admission time.
@@ -88,15 +76,15 @@ func (j *job) endRootSpan(status Status, fromCache bool) {
 	j.span.End()
 }
 
-// profileJSON renders the job's flight-recorder contents as the profile
-// document: ring events (deterministically encoded, same bytes as a JSONL
+// profileJSON renders the job's profile document: the newest profileCap
+// events of its log (deterministically encoded, same bytes as a JSONL
 // trace line) plus identity and drop accounting. Returns nil when tracing
 // is disabled.
 func (j *job) profileJSON() []byte {
-	if j.rec == nil {
+	if j.profileCap == 0 {
 		return nil
 	}
-	events, dropped := j.rec.Snapshot()
+	events, dropped := j.broker.log.Last(j.profileCap)
 	status, _, _, _, _, _, _, _ := j.snapshot()
 	doc := struct {
 		ID      string            `json:"id"`
@@ -122,11 +110,11 @@ func (j *job) profileJSON() []byte {
 
 // profileWaterfall renders the job's span tree as indented text.
 func (j *job) profileWaterfall(w io.Writer) {
-	if j.rec == nil {
+	if j.profileCap == 0 {
 		fmt.Fprintln(w, "(flight recorder disabled)")
 		return
 	}
-	events, dropped := j.rec.Snapshot()
+	events, dropped := j.broker.log.Last(j.profileCap)
 	roots := obs.BuildSpanTree(events)
 	if len(roots) == 0 {
 		fmt.Fprintln(w, "(no completed spans)")

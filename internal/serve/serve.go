@@ -29,13 +29,19 @@
 //     content hashes precomputed (circuitMemo, circuitRef), so a cache hit
 //     costs admission only.
 //   - Per-job deadlines and cancellation. Every job carries a context
-//     whose timeout starts at submission (queue wait counts);
-//     DELETE /v1/jobs/{id} cancels it, and the solver stops within one
-//     gradient iteration (partition.SolveCtx).
-//   - Streaming progress. Each job owns an event broker fed by an
-//     obs.TracerFunc adapter; GET /v1/jobs/{id}/events replays the
-//     history and then streams live solver events as SSE frames encoded
-//     with the deterministic obs JSONL encoder.
+//     whose timeout starts at submission (queue wait counts).
+//     DELETE /v1/jobs/{id} finishes a queued job cancelled at once (a
+//     worker that later dequeues it skips it) and cancels a running
+//     one's context; the solver stops within one gradient iteration
+//     (partition.SolveCtx).
+//   - One event log per job. Spans, lifecycle and throttled solver
+//     events are stored once, in an obs.FlightRecorder that grows with
+//     what the job records (a cache hit holds 4 events) up to
+//     max(1024, Config.FlightRecorder). It serves the SSE replay of
+//     GET /v1/jobs/{id}/events (then live frames encoded with the
+//     deterministic obs JSONL encoder), the job profile, the ops
+//     waterfalls and the terminal journal record; the job's broker
+//     keeps only the live subscribers.
 //   - Graceful shutdown. Shutdown stops admissions, closes the queue, and
 //     drains: every accepted job still runs to completion and keeps its
 //     response. Only when the shutdown context expires are in-flight
@@ -113,9 +119,11 @@ type Config struct {
 	// budget. 0 means unbounded. Ignored without DataDir.
 	StoreMaxBytes int64
 
-	// FlightRecorder sizes each job's bounded event ring (spans, lifecycle
-	// and throttled solver events), served by GET /v1/jobs/{id}/profile
-	// and persisted with the terminal journal record. 0 means the default
+	// FlightRecorder sizes each job's profile: the newest events (spans,
+	// lifecycle and throttled solver events) of the job's event log
+	// served by GET /v1/jobs/{id}/profile and persisted with the terminal
+	// journal record. The log grows on demand up to max(1024, this), so
+	// the size reserves nothing up front. 0 means the default
 	// (obs.DefaultFlightRecorderCap); negative disables per-job tracing
 	// entirely (the span path then costs nothing).
 	FlightRecorder int

@@ -98,6 +98,9 @@ func New(cfg Config) (*Server, error) {
 			defer s.workers.Done()
 			for j := range s.queue {
 				s.m.queueDepth.Set(float64(len(s.queue)))
+				if !j.leaveQueue() {
+					continue // cancelled while queued: already finished
+				}
 				j.endQueueWait(s.m.queueWait)
 				ent, hit, err := s.resolve(j)
 				s.finish(j, ent, hit, err)
@@ -295,7 +298,7 @@ func (s *Server) admit(j *job, req *JobRequest, wait bool) int {
 		}
 		j.journaled.Store(true)
 	}
-	j.publish(obs.Event{Kind: kindJobQueued})
+	j.broker.publish(obs.Event{Kind: kindJobQueued})
 	j.beginQueueWait()
 	code := s.enqueue(j)
 	for wait && code == http.StatusTooManyRequests {
@@ -319,18 +322,36 @@ func (s *Server) admit(j *job, req *JobRequest, wait bool) int {
 
 // enqueue offers a job to the queue without blocking. It returns
 // http.StatusAccepted on success, 503 while draining, or 429 when full.
+// The job is marked queued under its own lock across the send, so a
+// worker that receives it at once waits in leaveQueue for the mark.
 func (s *Server) enqueue(j *job) int {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	if s.draining {
 		return http.StatusServiceUnavailable
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	select {
 	case s.queue <- j:
+		j.inQueue = true
 		s.m.queueDepth.Set(float64(len(s.queue)))
 		return http.StatusAccepted
 	default:
 		return http.StatusTooManyRequests
+	}
+}
+
+// cancelJob cancels a job for a client (DELETE on the job or its sweep).
+// A job waiting in the queue finishes cancelled at once, through finish;
+// its queue slot frees only when a worker dequeues it and skips it. Any
+// other job has its context cancelled: a running solve stops within one
+// gradient iteration, and a job still in admission finishes there.
+func (s *Server) cancelJob(j *job) {
+	j.cancel()
+	if j.leaveQueue() {
+		j.spanQueue.End()
+		s.finish(j, nil, false, context.Canceled)
 	}
 }
 
@@ -462,7 +483,7 @@ func (s *Server) finish(j *job, ent *cacheEntry, hit bool, err error) bool {
 
 // solve runs the job's configured solver flavor and marshals the result
 // envelope. The progress tracer forwards a throttled event stream into
-// the job's broker and flight recorder; span is the job's "solve" span
+// the job's event log and SSE subscribers; span is the job's "solve" span
 // the solver layers hang their descent/vcycle spans under. The solver's
 // determinism guarantees make the envelope a pure function of the cache
 // key — the tracer and span never influence the result.
@@ -481,7 +502,7 @@ func (s *Server) solve(j *job, span *obs.Span) (body []byte, labels []int, err e
 		if e.Kind == obs.KindIter && every > 1 && e.Iter%every != 0 {
 			return
 		}
-		j.publish(e)
+		j.broker.publish(e)
 	})
 
 	var res *partition.Result

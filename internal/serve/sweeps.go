@@ -128,7 +128,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		id:          "sw-" + newJobID(),
 		circuitName: name,
 		rankBy:      req.Spec.RankBy,
-		broker:      newBroker(),
+		broker:      newBroker(histCap),
 		status:      StatusRunning,
 		submitted:   time.Now(),
 	}
@@ -256,14 +256,15 @@ func (s *Server) finalizeSweep(sr *sweepRun) {
 	sr.broker.close()
 }
 
-// cancel cancels every non-terminal cell; cells not yet admitted are
-// cancelled by the feeder when it reaches them.
-func (sr *sweepRun) cancel() {
+// cancel cancels every non-terminal cell through s.cancelJob: queued
+// cells finish at once, and cells not yet admitted are finished by the
+// feeder when it reaches them.
+func (sr *sweepRun) cancel(s *Server) {
 	sr.mu.Lock()
 	sr.cancelled = true
 	sr.mu.Unlock()
 	for _, sc := range sr.cells {
-		sc.job.cancel()
+		s.cancelJob(sc.job)
 	}
 }
 
@@ -385,7 +386,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "sweep %s already %s", sr.id, sr.status)
 		return
 	}
-	sr.cancel()
+	sr.cancel(s)
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": sr.id, "status": "cancelling"})
 }
 
