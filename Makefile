@@ -126,6 +126,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzSolveOptions$$' -fuzztime 30s ./internal/partition
 	$(GO) test -run xxx -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/partition
 	$(GO) test -run xxx -fuzz '^FuzzVCycleSnapshotDecode$$' -fuzztime 30s ./internal/multilevel
+	$(GO) test -run xxx -fuzz '^FuzzCoarsen$$' -fuzztime 30s ./internal/multilevel
 	$(GO) test -run xxx -fuzz '^FuzzTermWeightsFingerprint$$' -fuzztime 30s ./internal/terms
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/def
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/lef

@@ -7,21 +7,30 @@ import (
 	"gpp/internal/partition"
 )
 
-// level is one coarsened instance plus the projection map from the finer
-// level: levels[i] holds the data of level i+1 and the fineToCoarse map
-// indexed by level-i vertices.
+// level is one coarsened instance in the compact form the coarsener
+// produces, plus the projection map from the finer level: levels[i] holds
+// the data of level i+1 and the fineToCoarse map indexed by level-i
+// vertices. Every slice is allocated at its exact length. The arrays live
+// until the uncoarsening reaches the level (see hierarchy.buildProblem),
+// the map until W has been projected through it.
 type level struct {
 	bias, area   []float64
-	edges        [][2]int
+	edges        [][2]int32
 	weight       []float64
-	fineToCoarse []int // indexed by finer-level vertex
+	fineToCoarse []int32 // indexed by finer-level vertex
 }
 
-// hierarchy is the full coarsening chain: probs[0] is the original problem
-// and probs[i+1] the weighted instance levels[i] produced.
+// shape is one level's vertex and edge count, recorded when the level is
+// built: the fingerprint, resume checks, Result and trace events read it
+// while the level's own data may already be released.
+type shape struct{ g, e int }
+
+// hierarchy is the full coarsening chain: shapes[0] is the original
+// problem's shape and shapes[i+1] the shape of the instance levels[i]
+// holds.
 type hierarchy struct {
 	levels []level
-	probs  []*partition.Problem
+	shapes []shape
 }
 
 // levelSeed derives one contraction's matching-order seed from the solver
@@ -42,51 +51,84 @@ func levelSeed(seed int64, level int) int64 {
 }
 
 // buildHierarchy coarsens the problem down to Options.CoarsestSize
-// vertices (or until MaxLevels / no contraction), materializing every
-// coarse level as a weighted partition.Problem. Deterministic: the chain
-// depends only on the problem and (seed, CoarsestSize, MaxLevels).
+// vertices (or until MaxLevels / no contraction), keeping every coarse
+// level in its compact arrays; no coarse Problem exists yet. A level with
+// fewer vertices than planes fails here, before any solve. Deterministic:
+// the chain depends only on the problem and (seed, CoarsestSize,
+// MaxLevels).
 func buildHierarchy(p *partition.Problem, opts Options, seed int64) (*hierarchy, error) {
-	h := &hierarchy{probs: []*partition.Problem{p}}
-	curBias, curArea := p.Bias, p.Area
-	curEdges := make([][2]int, len(p.Edges))
-	curWeight := make([]float64, len(p.Edges))
-	for i, e := range p.Edges {
-		curEdges[i] = [2]int{int(e[0]), int(e[1])}
-		curWeight[i] = 1
-	}
-	if p.EdgeWeight != nil {
-		copy(curWeight, p.EdgeWeight)
-	}
-	for len(curBias) > opts.CoarsestSize && len(h.levels) < opts.MaxLevels-1 {
-		lv, ok := coarsen(curBias, curArea, curEdges, curWeight, levelSeed(seed, len(h.levels)))
+	h := &hierarchy{shapes: []shape{{p.G, len(p.Edges)}}}
+	bias, area, edges, weight := p.Bias, p.Area, p.Edges, p.EdgeWeight
+	for len(bias) > opts.CoarsestSize && len(h.levels) < opts.MaxLevels-1 {
+		lv, ok := coarsen(bias, area, edges, weight, levelSeed(seed, len(h.levels)))
 		if !ok {
 			break // no contraction possible (edgeless residue)
 		}
-		prob, err := buildProblem(fmt.Sprintf("%s@L%d", p.Name, len(h.levels)+1), p.K, lv.bias, lv.area, lv.edges, lv.weight)
-		if err != nil {
-			return nil, err
+		li := len(h.levels) + 1
+		if p.K > len(lv.bias) {
+			// Coarsening can undershoot K on tiny inputs; pad is not
+			// possible, so surface a clear error.
+			return nil, fmt.Errorf("multilevel: level %q has %d vertices for K=%d", levelName(p, li), len(lv.bias), p.K)
 		}
-		// Coarse instances inherit the fine problem's compiled plane terms:
-		// contraction sums vertex biases, so per-plane bias sums — all these
-		// terms read — are preserved level by level. (Bias scaling and edge
-		// drops/weights were compiled into p before coarsening, so those
-		// regime effects propagate structurally.)
-		prob.PlaneTerms = p.PlaneTerms
 		h.levels = append(h.levels, lv)
-		h.probs = append(h.probs, prob)
-		curBias, curArea, curEdges, curWeight = lv.bias, lv.area, lv.edges, lv.weight
+		h.shapes = append(h.shapes, shape{len(lv.bias), len(lv.edges)})
+		bias, area, edges, weight = lv.bias, lv.area, lv.edges, lv.weight
 	}
 	return h, nil
 }
 
-// coarsen performs one heavy-edge-matching contraction. Returns ok=false
-// when no edge allows any contraction. The adjacency is CSR (two counted
-// passes, no per-vertex append slices) and the edge collapse sorts packed
-// (a,b) keys instead of accumulating into a map, so a contraction is
-// O(E log E) with flat allocations — the difference between a hierarchy
-// build in milliseconds and one in seconds at a million gates.
-func coarsen(bias, area []float64, edges [][2]int, weight []float64, seed int64) (level, bool) {
+func levelName(p *partition.Problem, li int) string { return fmt.Sprintf("%s@L%d", p.Name, li) }
+
+// buildProblem materializes level li as a weighted partition.Problem
+// (level 0 is p itself) and releases the level's compact arrays, so the
+// Problem is the level's only copy. An edge of weight w contributes to the
+// cost exactly like w parallel connections (partition.NewWeightedProblem),
+// without materializing the replicas. Coarse instances inherit the fine
+// problem's compiled plane terms: contraction sums vertex biases, so
+// per-plane bias sums — all these terms read — are preserved level by
+// level. (Bias scaling and edge drops/weights were compiled into p before
+// coarsening, so those regime effects propagate structurally.)
+func (h *hierarchy) buildProblem(p *partition.Problem, li int) (*partition.Problem, error) {
+	if li == 0 {
+		return p, nil
+	}
+	lv := &h.levels[li-1]
+	edges := make([][2]int, len(lv.edges))
+	for i, e := range lv.edges {
+		edges[i] = [2]int{int(e[0]), int(e[1])}
+	}
+	prob, err := partition.NewWeightedProblem(levelName(p, li), p.K, lv.bias, lv.area, edges, lv.weight)
+	if err != nil {
+		return nil, err
+	}
+	prob.PlaneTerms = p.PlaneTerms
+	lv.bias, lv.area, lv.edges, lv.weight = nil, nil, nil, nil
+	return prob, nil
+}
+
+// release drops every level coarser than li — their data and the map that
+// projects level li onto them — for a cycle resumed at level li.
+func (h *hierarchy) release(li int) {
+	for i := li; i < len(h.levels); i++ {
+		h.levels[i] = level{}
+	}
+}
+
+// coarsen performs one heavy-edge-matching contraction. It reads a
+// Problem's own types — a nil weight means every edge has weight 1 — and
+// returns ok=false when no edge allows any contraction. The adjacency is
+// CSR (two counted passes, no per-vertex append slices) and the edge
+// collapse sorts packed (a,b) keys instead of accumulating into a map, so a
+// contraction is O(E log E) with flat allocations — the difference between
+// a hierarchy build in milliseconds and one in seconds at a million gates.
+func coarsen(bias, area []float64, edges [][2]int32, weight []float64, seed int64) (level, bool) {
 	n := len(bias)
+	wt := func(i int) float64 {
+		if weight == nil {
+			return 1
+		}
+		return weight[i]
+	}
 	// CSR adjacency, neighbor entries in edge order per vertex (parallel
 	// edges stay separate entries, matching by single-edge weight).
 	deg := make([]int32, n+1)
@@ -108,9 +150,9 @@ func coarsen(bias, area []float64, edges [][2]int, weight []float64, seed int64)
 			continue
 		}
 		a, b := e[0], e[1]
-		adjV[cursor[a]], adjW[cursor[a]] = int32(b), weight[i]
+		adjV[cursor[a]], adjW[cursor[a]] = b, wt(i)
 		cursor[a]++
-		adjV[cursor[b]], adjW[cursor[b]] = int32(a), weight[i]
+		adjV[cursor[b]], adjW[cursor[b]] = a, wt(i)
 		cursor[b]++
 	}
 
@@ -141,8 +183,8 @@ func coarsen(bias, area []float64, edges [][2]int, weight []float64, seed int64)
 		return level{}, false
 	}
 
-	// Assign coarse IDs in vertex order (deterministic).
-	lv := level{fineToCoarse: make([]int, n)}
+	// Assign coarse IDs in vertex order (deterministic); the ID array is
+	// the projection map.
 	coarseID := make([]int32, n)
 	for i := range coarseID {
 		coarseID[i] = -1
@@ -158,18 +200,21 @@ func coarsen(bias, area []float64, edges [][2]int, weight []float64, seed int64)
 		}
 		next++
 	}
-	lv.bias = make([]float64, next)
-	lv.area = make([]float64, next)
+	lv := level{
+		bias:         make([]float64, next),
+		area:         make([]float64, next),
+		fineToCoarse: coarseID,
+	}
 	for v := 0; v < n; v++ {
 		cv := coarseID[v]
-		lv.fineToCoarse[v] = int(cv)
 		lv.bias[cv] += bias[v]
 		lv.area[cv] += area[v]
 	}
 
 	// Collapse edges: pack each surviving coarse pair into one sortable
 	// key, radix-sort, and merge equal-key runs into a single weighted
-	// edge. The output is ordered by (a, b) by construction.
+	// edge. The output is ordered by (a, b) by construction and allocated
+	// at its distinct-key count.
 	keys := make([]uint64, 0, len(edges))
 	ws := make([]float64, 0, len(edges))
 	for i, e := range edges {
@@ -181,11 +226,17 @@ func coarsen(bias, area []float64, edges [][2]int, weight []float64, seed int64)
 			a, b = b, a
 		}
 		keys = append(keys, uint64(uint32(a))<<32|uint64(uint32(b)))
-		ws = append(ws, weight[i])
+		ws = append(ws, wt(i))
 	}
 	radixSortEdges(keys, ws)
-	lv.edges = make([][2]int, 0, len(keys))
-	lv.weight = make([]float64, 0, len(keys))
+	distinct := 0
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			distinct++
+		}
+	}
+	lv.edges = make([][2]int32, 0, distinct)
+	lv.weight = make([]float64, 0, distinct)
 	for i := 0; i < len(keys); {
 		j := i + 1
 		w := ws[i]
@@ -193,7 +244,7 @@ func coarsen(bias, area []float64, edges [][2]int, weight []float64, seed int64)
 			w += ws[j]
 			j++
 		}
-		lv.edges = append(lv.edges, [2]int{int(keys[i] >> 32), int(uint32(keys[i]))})
+		lv.edges = append(lv.edges, [2]int32{int32(keys[i] >> 32), int32(uint32(keys[i]))})
 		lv.weight = append(lv.weight, w)
 		i = j
 	}
@@ -256,27 +307,13 @@ func radixSortEdges(keys []uint64, ws []float64) {
 	}
 }
 
-// buildProblem materializes a weighted instance as a partition.Problem: an
-// edge of weight w contributes to the cost exactly like w parallel
-// connections (partition.NewWeightedProblem), without materializing the
-// replicas — at a million gates the coarsest level would otherwise retain
-// the full fine-level connection count.
-func buildProblem(name string, k int, bias, area []float64, edges [][2]int, weight []float64) (*partition.Problem, error) {
-	if k > len(bias) {
-		// Coarsening can undershoot K on tiny inputs; pad is not possible,
-		// so surface a clear error.
-		return nil, fmt.Errorf("multilevel: level %q has %d vertices for K=%d", name, len(bias), k)
-	}
-	return partition.NewWeightedProblem(name, k, bias, area, edges, weight)
-}
-
 // projectW spreads the coarse relaxed matrix onto the finer level: every
 // fine vertex inherits its supervertex's row. Serial and index-ordered —
 // trivially deterministic.
-func projectW(coarseW partition.W, fineToCoarse []int, k int) partition.W {
+func projectW(coarseW partition.W, fineToCoarse []int32, k int) partition.W {
 	fine := make(partition.W, len(fineToCoarse)*k)
 	for v, cv := range fineToCoarse {
-		copy(fine[v*k:(v+1)*k], coarseW[cv*k:(cv+1)*k])
+		copy(fine[v*k:(v+1)*k], coarseW[int(cv)*k:(int(cv)+1)*k])
 	}
 	return fine
 }

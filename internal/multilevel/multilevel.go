@@ -176,8 +176,8 @@ func PartitionCtx(ctx context.Context, p *partition.Problem, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	coarsen.AttrInt("levels", int64(len(h.probs)))
-	coarsen.AttrInt("coarsest_gates", int64(h.probs[len(h.probs)-1].G))
+	coarsen.AttrInt("levels", int64(len(h.shapes)))
+	coarsen.AttrInt("coarsest_gates", int64(h.shapes[len(h.shapes)-1].g))
 	coarsen.End()
 	vfp, err := vFingerprint(p, opts, sNorm, h)
 	if err != nil {

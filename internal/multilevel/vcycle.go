@@ -11,9 +11,12 @@ import (
 
 // runVCycle executes the solve half of the V-cycle on a built hierarchy:
 // coarsest descent, then per-level projection + band-limited gradient
-// refine, then the discrete move pass at the finest level.
+// refine, then the discrete move pass at the finest level. One level's
+// Problem exists at a time: each is built from the level's compact arrays
+// right before its solve, and the coarser Problem, W and projection map
+// are dropped once W has been projected onto the next finer level.
 func runVCycle(ctx context.Context, p *partition.Problem, opts Options, sNorm partition.Options, h *hierarchy, vfp string) (*Result, error) {
-	nLevels := len(h.probs)
+	nLevels := len(h.shapes)
 	coarse := nLevels - 1
 	tracer := sNorm.Tracer
 	// sNorm.Span is the "vcycle" span PartitionCtx opened (nil when
@@ -27,17 +30,17 @@ func runVCycle(ctx context.Context, p *partition.Problem, opts Options, sNorm pa
 		return nil, err
 	}
 
-	out := &Result{Levels: nLevels, CoarsestSize: h.probs[coarse].G}
+	out := &Result{Levels: nLevels, CoarsestSize: h.shapes[coarse].g}
 	out.LevelSizes = make([]int, nLevels)
-	for i, prob := range h.probs {
-		out.LevelSizes[i] = prob.G
+	for i, sh := range h.shapes {
+		out.LevelSizes[i] = sh.g
 	}
 	if tracer != nil {
 		tracer.Emit(obs.Event{Kind: obs.KindVCycleStart, Seed: sNorm.Seed,
 			K: p.K, Gates: p.G, Edges: len(p.Edges), Levels: nLevels})
 		for li := 1; li < nLevels; li++ {
 			tracer.Emit(obs.Event{Kind: obs.KindCoarsen, Level: li,
-				Gates: h.probs[li].G, Edges: len(h.probs[li].Edges)})
+				Gates: h.shapes[li].g, Edges: h.shapes[li].e})
 		}
 	}
 
@@ -73,7 +76,8 @@ func runVCycle(ctx context.Context, p *partition.Problem, opts Options, sNorm pa
 	startLevel := coarse - 1
 
 	// Coarsest level: the full Algorithm-1 descent (skipped entirely when
-	// resuming at a finer level — its outcome is already folded into W).
+	// resuming at a finer level — its outcome is already folded into W,
+	// and the levels coarser than the snapshot's are never built).
 	if resume == nil || resume.Level == coarse {
 		copts := sNorm
 		if opts.Checkpoint != nil {
@@ -85,9 +89,13 @@ func runVCycle(ctx context.Context, p *partition.Problem, opts Options, sNorm pa
 		}
 		lspan := vspan.Child("level")
 		lspan.AttrInt("level", int64(coarse))
-		lspan.AttrInt("gates", int64(h.probs[coarse].G))
+		lspan.AttrInt("gates", int64(h.shapes[coarse].g))
 		copts.Span = lspan
-		res, err := h.probs[coarse].SolveCtx(ctx, copts)
+		prob, err := h.buildProblem(p, coarse)
+		if err != nil {
+			return nil, err
+		}
+		res, err := prob.SolveCtx(ctx, copts)
 		if err != nil {
 			return nil, err
 		}
@@ -98,20 +106,24 @@ func runVCycle(ctx context.Context, p *partition.Problem, opts Options, sNorm pa
 		doneIters = coarseIters
 	} else {
 		startLevel = resume.Level
+		h.release(startLevel)
 	}
 	out.CoarseIters, out.Converged = coarseIters, coarseConverged
 
 	// Uncoarsen: project W and run the band-limited gradient refine at
 	// every finer level; the deepest refine produces the final labels.
 	for li := startLevel; li >= 0; li-- {
-		prob := h.probs[li]
 		ropts := sNorm
 		ropts.Momentum = 0
 		ropts.MaxIters = opts.RefineIters
 		lspan := vspan.Child("level")
 		lspan.AttrInt("level", int64(li))
-		lspan.AttrInt("gates", int64(prob.G))
+		lspan.AttrInt("gates", int64(h.shapes[li].g))
 		ropts.Span = lspan
+		prob, err := h.buildProblem(p, li)
+		if err != nil {
+			return nil, err
+		}
 		var inner *partition.Snapshot
 		if resume != nil && resume.Level == li && li != coarse {
 			// Mid-refine resume: the level's calibrated step is the
@@ -123,12 +135,14 @@ func runVCycle(ctx context.Context, p *partition.Problem, opts Options, sNorm pa
 		} else {
 			pspan := lspan.Child("project")
 			fineW := projectW(w, h.levels[li].fineToCoarse, p.K)
+			// The coarser level is done: its W, labels and the map onto
+			// it go.
+			w, labels, h.levels[li].fineToCoarse = nil, nil, nil
 			if tracer != nil {
 				tracer.Emit(obs.Event{Kind: obs.KindProject, Level: li, Gates: prob.G})
 			}
 			ropts.LearnRate = calibrateStep(prob, fineW, ropts)
 			pspan.End()
-			var err error
 			inner, err = warmSnapshot(prob, ropts, fineW)
 			if err != nil {
 				return nil, err
@@ -157,7 +171,6 @@ func runVCycle(ctx context.Context, p *partition.Problem, opts Options, sNorm pa
 		doneIters += res.Iters
 	}
 	out.Iters = doneIters
-	_ = w
 
 	// Finest level: the paper's greedy discrete move pass.
 	rspan := vspan.Child("discrete_refine")
@@ -210,7 +223,9 @@ func calibrateStep(prob *partition.Problem, w partition.W, s partition.Options) 
 // matrix and step and skips both the RNG initialization and the step
 // auto-calibration, which is exactly the "descend from this point with
 // this step" semantics a projection needs. CostOld = +Inf suppresses the
-// stopping test on the first iteration, same as a fresh solve.
+// stopping test on the first iteration, same as a fresh solve. The
+// snapshot takes over w: the solver copies a resumed W into its own matrix
+// and nothing writes w afterwards.
 func warmSnapshot(prob *partition.Problem, ropts partition.Options, w partition.W) (*partition.Snapshot, error) {
 	fp, err := ropts.Fingerprint()
 	if err != nil {
@@ -228,16 +243,17 @@ func warmSnapshot(prob *partition.Problem, ropts partition.Options, w partition.
 		RNGDraws:    uint64(prob.G * prob.K),
 		Step:        ropts.LearnRate,
 		CostOld:     math.Inf(1),
-		W:           append([]float64(nil), w...),
+		W:           w,
 	}, nil
 }
 
 // checkVResume validates a V-cycle snapshot against the problem, options
 // and rebuilt hierarchy it is being resumed under. The fingerprint covers
-// the normalized options and the hierarchy's level shapes, so any drift —
-// different seed, coarsening knobs, solver configuration, or a changed
-// problem — is rejected rather than silently producing a hybrid run. The
-// inner snapshot's own fingerprint is re-checked by the level solve.
+// the normalized options and the hierarchy's recorded level shapes, so any
+// drift — different seed, coarsening knobs, solver configuration, or a
+// changed problem — is rejected rather than silently producing a hybrid
+// run. The inner snapshot's own fingerprint is re-checked by the level
+// solve.
 func checkVResume(s *VSnapshot, p *partition.Problem, vfp string, h *hierarchy) error {
 	if s == nil {
 		return nil
@@ -250,8 +266,8 @@ func checkVResume(s *VSnapshot, p *partition.Problem, vfp string, h *hierarchy) 
 		return fmt.Errorf("multilevel: snapshot V-cycle fingerprint %.12s… does not match resume options/hierarchy %.12s… (same configuration required)",
 			s.Fingerprint, vfp)
 	}
-	if s.Levels != len(h.probs) {
-		return fmt.Errorf("multilevel: snapshot hierarchy has %d levels, rebuilt hierarchy has %d", s.Levels, len(h.probs))
+	if s.Levels != len(h.shapes) {
+		return fmt.Errorf("multilevel: snapshot hierarchy has %d levels, rebuilt hierarchy has %d", s.Levels, len(h.shapes))
 	}
 	if s.Level < 0 || s.Level >= s.Levels {
 		return fmt.Errorf("multilevel: snapshot level %d out of range [0, %d)", s.Level, s.Levels)
@@ -259,10 +275,10 @@ func checkVResume(s *VSnapshot, p *partition.Problem, vfp string, h *hierarchy) 
 	if s.Inner == nil {
 		return fmt.Errorf("multilevel: snapshot has no inner solver state")
 	}
-	lp := h.probs[s.Level]
-	if s.Inner.G != lp.G || s.Inner.K != lp.K || s.Inner.EdgeCount != len(lp.Edges) {
+	ls := h.shapes[s.Level]
+	if s.Inner.G != ls.g || s.Inner.K != p.K || s.Inner.EdgeCount != ls.e {
 		return fmt.Errorf("multilevel: inner snapshot shape %d/%d/%d does not match level %d (%d/%d/%d)",
-			s.Inner.G, s.Inner.K, s.Inner.EdgeCount, s.Level, lp.G, lp.K, len(lp.Edges))
+			s.Inner.G, s.Inner.K, s.Inner.EdgeCount, s.Level, ls.g, p.K, ls.e)
 	}
 	return nil
 }

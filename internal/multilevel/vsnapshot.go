@@ -206,7 +206,8 @@ func DecodeVSnapshot(raw []byte) (*VSnapshot, error) {
 // vFingerprint identifies one V-cycle configuration: the normalized inner
 // solver options (partition.Options.Fingerprint — execution-only fields
 // excluded), the multilevel knobs, the original problem shape, and the
-// shape of every hierarchy level the coarsener produced. Two runs share a
+// shape of every hierarchy level the coarsener produced, as recorded when
+// the level was built (its data may be released by then). Two runs share a
 // fingerprint exactly when they walk the same hierarchy with the same
 // solves, which is the precondition for resuming one from the other's
 // snapshot.
@@ -229,10 +230,10 @@ func vFingerprint(p *partition.Problem, opts Options, sNorm partition.Options, h
 	i(p.G)
 	i(p.K)
 	i(len(p.Edges))
-	i(len(h.probs))
-	for _, lp := range h.probs {
-		i(lp.G)
-		i(len(lp.Edges))
+	i(len(h.shapes))
+	for _, ls := range h.shapes {
+		i(ls.g)
+		i(ls.e)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil

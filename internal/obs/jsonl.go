@@ -9,13 +9,12 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // JSONL writes one JSON object per event line. The encoder is hand-rolled:
 // fields appear in a fixed order per Kind and floats use the shortest
 // round-trip representation, so traces of bit-identical solver runs are
-// byte-identical (modulo the optional "t" timestamp, see Timestamped).
+// byte-identical.
 //
 // The sink latches its first write error and drops everything after it;
 // Err/Close report that error so the solver can surface it exactly once.
@@ -23,24 +22,12 @@ type JSONL struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
 	buf []byte
-	now func() int64 // nil = no timestamps
 	err error
 }
 
-// NewJSONL returns a sink writing to w without timestamps — the
-// deterministic, diffable configuration.
+// NewJSONL returns a sink writing to w.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// Timestamped makes the sink stamp every event with a "t" field (unix
-// milliseconds). Returns the sink for chaining. Traces stay deterministic
-// modulo this one field.
-func (j *JSONL) Timestamped() *JSONL {
-	j.mu.Lock()
-	j.now = func() int64 { return time.Now().UnixMilli() }
-	j.mu.Unlock()
-	return j
 }
 
 // Emit encodes and writes one event. After the first write error the sink
@@ -50,9 +37,6 @@ func (j *JSONL) Emit(e Event) {
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return
-	}
-	if j.now != nil {
-		e.T = j.now()
 	}
 	j.buf = appendEvent(j.buf[:0], e)
 	if _, err := j.w.Write(j.buf); err != nil {
@@ -91,9 +75,6 @@ func appendEvent(b []byte, e Event) []byte {
 	b = append(b, `{"ev":"`...)
 	b = append(b, e.Kind...)
 	b = append(b, '"')
-	if e.T != 0 {
-		b = appendInt(b, "t", e.T)
-	}
 	switch e.Kind {
 	case KindSolveStart:
 		b = appendInt(b, "seed", e.Seed)

@@ -10,13 +10,13 @@
 //     adds no allocations and no measurable time to the solver's iteration
 //     path (guarded by testing.AllocsPerRun in internal/partition and the
 //     `make obs-bench` benchmark gate).
-//  2. Traces are deterministic modulo timestamps. Event payloads are pure
-//     functions of the solver state, which is itself bit-identical at every
-//     Options.Workers count; the JSONL encoder is hand-rolled with
-//     fixed field order and shortest-round-trip floats, so two traces of
-//     the same solve diff clean byte-for-byte (the optional "t" field is
-//     the only exception). Concurrent restarts are buffered per seed and
-//     replayed in seed order (see partition.SolvePortfolio).
+//  2. Traces are deterministic. Event payloads are pure functions of the
+//     solver state, which is itself bit-identical at every Options.Workers
+//     count; the JSONL encoder is hand-rolled with fixed field order and
+//     shortest-round-trip floats, so two traces of the same solve diff
+//     clean byte-for-byte (timed span traces, which opt in to durations,
+//     are the only exception). Concurrent restarts are buffered per seed
+//     and replayed in seed order (see partition.SolvePortfolio).
 //  3. Sink failures surface exactly once. A sink latches its first write
 //     error, stops writing, and the solver returns it through the normal
 //     error path instead of silently dropping the trace.
@@ -86,8 +86,7 @@ const (
 // those, in a fixed order. Field tags match the encoder's keys so
 // encoding/json can decode what the hand-rolled encoder wrote.
 type Event struct {
-	Kind Kind  `json:"ev"`
-	T    int64 `json:"t,omitempty"` // unix ms, stamped by the sink when enabled
+	Kind Kind `json:"ev"`
 
 	Circuit string `json:"circuit,omitempty"`
 	Seed    int64  `json:"seed,omitempty"`
@@ -156,35 +155,6 @@ type TracerFunc func(Event)
 
 // Emit calls f(e).
 func (f TracerFunc) Emit(e Event) { f(e) }
-
-// tee forwards every event to two tracers, a's latched sink error (if
-// any) winning over b's for SinkErr.
-type tee struct{ a, b Tracer }
-
-func (t tee) Emit(e Event) {
-	t.a.Emit(e)
-	t.b.Emit(e)
-}
-
-func (t tee) Err() error {
-	if err := SinkErr(t.a); err != nil {
-		return err
-	}
-	return SinkErr(t.b)
-}
-
-// Tee returns a Tracer duplicating every event to both arguments. A nil
-// argument means "just the other one" (and Tee(nil, nil) is nil), so
-// callers can compose optional tracers unconditionally.
-func Tee(a, b Tracer) Tracer {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return tee{a, b}
-}
 
 // nop discards every event. Its Emit inlines to nothing.
 type nop struct{}

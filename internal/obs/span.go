@@ -229,6 +229,20 @@ func (r *FlightRecorder) Emit(e Event) {
 	r.mu.Unlock()
 }
 
+// Trim copies a log that is not full to storage of its exact length, so a
+// finished log keeps no slots its doubling left spare. A full log has
+// wrapped and is exact already; it keeps its storage. A later Emit grows
+// the log again.
+func (r *FlightRecorder) Trim() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.buf) < cap(r.buf) {
+		exact := make([]Event, len(r.buf))
+		copy(exact, r.buf)
+		r.buf = exact
+	}
+}
+
 // Snapshot returns the retained events oldest-first plus how many older
 // events the recorder has evicted.
 func (r *FlightRecorder) Snapshot() (events []Event, dropped int64) {

@@ -253,6 +253,56 @@ func TestFlightRecorderGrowsOnDemand(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderTrim: a trimmed log that is not full holds its events
+// in exactly that many slots, a full log keeps its storage, and either
+// keeps recording exactly like an eagerly allocated ring.
+func TestFlightRecorderTrim(t *testing.T) {
+	const capacity = 32
+	for _, n := range []int{0, 1, 5, 17, capacity - 1, capacity, capacity + 3} {
+		r := NewFlightRecorder(capacity)
+		ref := &eagerRing{buf: make([]Event, capacity)}
+		emitted := 0
+		emit := func(count int) {
+			for ; count > 0; count-- {
+				e := Event{Kind: KindIter, Iter: emitted}
+				r.Emit(e)
+				ref.emit(e)
+				emitted++
+			}
+		}
+		check := func(stage string) {
+			t.Helper()
+			got, gotDropped := r.Snapshot()
+			want, wantDropped := ref.snapshot()
+			if len(got) != len(want) || gotDropped != wantDropped {
+				t.Fatalf("%d events, %s: %d retained, %d dropped; want %d, %d",
+					n, stage, len(got), gotDropped, len(want), wantDropped)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d events, %s: event %d = %+v, want %+v", n, stage, i, got[i], want[i])
+				}
+			}
+		}
+		emit(n)
+		var storage *Event
+		if n >= capacity {
+			storage = &r.buf[0]
+		}
+		r.Trim()
+		if r.Len() != min(n, capacity) || r.Slots() != r.Len() {
+			t.Fatalf("%d events: trimmed log holds %d in %d slots, want %d in as many",
+				n, r.Len(), r.Slots(), min(n, capacity))
+		}
+		if storage != nil && &r.buf[0] != storage {
+			t.Errorf("%d events: trimming a full log replaced its storage", n)
+		}
+		check("trimmed")
+		emit(capacity + 2)
+		check("recording after the trim")
+	}
+}
+
 func TestLogBuckets(t *testing.T) {
 	b := LogBuckets(0.001, 60, 3)
 	if b[0] != 0.001 {

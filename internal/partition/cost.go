@@ -225,9 +225,6 @@ type W []float64
 // NewW allocates a zero matrix for the problem.
 func (p *Problem) NewW() W { return make(W, p.G*p.K) }
 
-// At returns w_{i,k}.
-func (w W) At(i, k, K int) float64 { return w[i*K+k] }
-
 // Labels computes the continuous labels l_i = Σ_k (k+1)·w_{i,k} (Eq. 3).
 func (p *Problem) Labels(w W) []float64 {
 	sc := p.newLabelsScratch(pool.Ephemeral(1))
@@ -1062,7 +1059,7 @@ func (p *Problem) neighborSumsShard(sc *scratch, sh int) {
 				// equal.
 				t = ew[ei] * t
 			}
-			if p.incSign[idx] < 0 {
+			if p.incSignF[idx] < 0 {
 				// Incoming connection (Eq. 10 first line subtracts).
 				t = -t
 			}

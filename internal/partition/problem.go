@@ -69,14 +69,14 @@ type Problem struct {
 
 	// Incidence CSR for the F1 gradient gather: for gate i, incEdge
 	// [incStart[i]:incStart[i+1]] lists its incident edge indices in
-	// increasing edge order, and incSign is +1 where the gate is the edge's
-	// first endpoint. The gather lets gradient workers accumulate each
-	// gate's neighbor sum privately (no scatter write conflicts) while
-	// preserving the serial edge-order summation exactly.
+	// increasing edge order, and incSignF is +1.0 where the gate is the
+	// edge's first endpoint and −1.0 where it is the second. The gather
+	// lets gradient workers accumulate each gate's neighbor sum privately
+	// (no scatter write conflicts) while preserving the serial edge-order
+	// summation exactly.
 	incStart []int32   // length G+1
 	incEdge  []int32   // length 2·|Edges|
-	incSign  []int8    // length 2·|Edges|
-	incSignF []float64 // incSign as ±1.0: the gather multiplies instead of
+	incSignF []float64 // length 2·|Edges|; the gather multiplies instead of
 	// branching on the (unpredictable) sign — t·(−1) is exactly −t and
 	// t·(+1) is exactly t in IEEE 754, so the branchless form is bitwise
 	// identical to the historical negate-and-add.
@@ -192,18 +192,15 @@ func (p *Problem) buildIncidence() {
 		p.incStart[i+1] += p.incStart[i]
 	}
 	p.incEdge = make([]int32, 2*len(p.Edges))
-	p.incSign = make([]int8, 2*len(p.Edges))
 	p.incSignF = make([]float64, 2*len(p.Edges))
 	cursor := make([]int32, p.G)
 	copy(cursor, p.incStart[:p.G])
 	for idx, e := range p.Edges {
 		u, v := e[0], e[1]
 		p.incEdge[cursor[u]] = int32(idx)
-		p.incSign[cursor[u]] = 1
 		p.incSignF[cursor[u]] = 1
 		cursor[u]++
 		p.incEdge[cursor[v]] = int32(idx)
-		p.incSign[cursor[v]] = -1
 		p.incSignF[cursor[v]] = -1
 		cursor[v]++
 	}

@@ -37,6 +37,24 @@ func TestCacheHitLogSmall(t *testing.T) {
 	}
 }
 
+// TestFinishedColdLogExact: a finished cold job's log holds no spare
+// slots: closing the broker trims the storage the log's doubling left.
+func TestFinishedColdLogExact(t *testing.T) {
+	s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, cold, _ := postJob(t, base, fastReq(4511))
+	j, ok := s.store.get(cold.ID)
+	if !ok {
+		t.Fatal("cold job missing from the registry")
+	}
+	_, ch, detach := j.broker.subscribe()
+	for range ch { // closed when the job finishes
+	}
+	detach()
+	if n, slots := j.broker.log.Len(), j.broker.log.Slots(); n <= 4 || slots != n {
+		t.Errorf("finished cold log holds %d events in %d slots, want more than 4 in as many", n, slots)
+	}
+}
+
 // parentLog is the reference for the job's one log: the event storage a
 // job kept before there was one — an eagerly allocated flight-recorder
 // ring of Config.FlightRecorder events behind the profile, and a broker

@@ -205,12 +205,12 @@ func (j *job) finishErr(status Status, err error) {
 // following it live. Every event is stored once, in log, which grows with
 // what is recorded up to its capacity and then drops its oldest events;
 // it backs the SSE replay and, for a job, the profile, the ops waterfalls
-// and the terminal journal record. Close seals the log: a finished job's
-// profile is final, and events a losing finisher publishes afterwards (a
-// cluster steal race) are dropped. Publishes never block the solver: each
-// subscriber has a buffered channel and slow consumers drop events (the
-// replay and the terminal status frame still give them a complete
-// picture).
+// and the terminal journal record. Close seals the log and trims it to
+// its exact length: a finished job's profile is final, and events a
+// losing finisher publishes afterwards (a cluster steal race) are
+// dropped. Publishes never block the solver: each subscriber has a
+// buffered channel and slow consumers drop events (the replay and the
+// terminal status frame still give them a complete picture).
 type broker struct {
 	log *obs.FlightRecorder
 
@@ -284,6 +284,7 @@ func (b *broker) close() {
 		return
 	}
 	b.closed = true
+	b.log.Trim()
 	for ch := range b.subs {
 		close(ch)
 		delete(b.subs, ch)
